@@ -1,4 +1,4 @@
-.PHONY: all build test check check-faults check-kernel check-portfolio check-shard check-arena check-eval check-resume bench bench-smoke examples doc clean fmt
+.PHONY: all build test check check-faults check-kernel check-portfolio check-shard check-eval check-resume bench bench-smoke examples doc clean fmt
 
 # Every generated bench snapshot — recorded smoke baselines and the
 # transient *-check.json the drift gates produce — lives here, out of
@@ -101,29 +101,11 @@ check-shard: build | $(SNAPSHOTS)
 	  $(SNAPSHOTS)/bench-shard-check.json \
 	  --tolerance $(SHARD_DRIFT_TOL)
 
-# Flat-arena gate (mirrored by the CI arena job): the arena unit suite
-# (interning, span decoding, posting intersections), the arena-vs-boxed
-# differential properties, then the arena A/B experiment in smoke sizing
-# — which itself exits nonzero if any boxed/arena stage comparison or
-# cost-gate criterion fails — drift-gated against the recorded smoke
-# snapshot. The committed BENCH_arena.json is the full-size run; the
-# smoke check writes bench-arena-check.json so it never clobbers it.
-ARENA_DRIFT_TOL ?= 0.25
-check-arena: build | $(SNAPSHOTS)
-	dune exec test/test_arena.exe
-	FRONTIER_QCHECK_COUNT=25 dune exec test/test_properties.exe
-	FRONTIER_BENCH_SMOKE=1 \
-	  FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-arena-check.json \
-	  dune exec bench/main.exe -- arena
-	python3 tools/bench_drift.py $(SNAPSHOTS)/bench-smoke-arena.json \
-	  $(SNAPSHOTS)/bench-arena-check.json \
-	  --tolerance $(ARENA_DRIFT_TOL)
-
 # Plan-layer gate (mirrored by the CI eval job): the eval unit suite
 # (plan compilation, leapfrog-vs-reference answers, guard salvage, the
 # containment probe), the eval differential properties (leapfrog =
-# boxed = Cq.answers on random and seeded instances; rewrite-then-
-# evaluate = chase-then-query across the zoo at -j1/-j4), a CLI smoke
+# naive matcher = Cq.answers on random and seeded instances; rewrite-
+# then-evaluate = chase-then-query across the zoo at -j1/-j4), a CLI smoke
 # of `frontier answer` on a generated grid, then the eval A/B
 # experiment in smoke sizing — which itself exits nonzero on any
 # answer mismatch — drift-gated against the recorded smoke snapshot.
@@ -179,8 +161,7 @@ bench:
 #   ix     incremental fact-set indexing + containment memoization
 #   rw     subsumption-indexed UCQ store + decomposed containment solver
 #   shard  sharded work-stealing pool, -j1 vs -j4 differential
-#   arena  flat-arena + compiled joins vs boxed, cost-gated -j4
-#   eval   leapfrog plan layer vs boxed enumeration + answer pipeline
+#   eval   leapfrog plan layer vs the register machine + answer pipeline
 bench-smoke: | $(SNAPSHOTS)
 	FRONTIER_BENCH_SMOKE=1 \
 		FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-smoke.json \
@@ -191,9 +172,6 @@ bench-smoke: | $(SNAPSHOTS)
 	FRONTIER_BENCH_SMOKE=1 \
 		FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-smoke-shard.json \
 		dune exec bench/main.exe -- shard
-	FRONTIER_BENCH_SMOKE=1 \
-		FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-smoke-arena.json \
-		dune exec bench/main.exe -- arena
 	FRONTIER_BENCH_SMOKE=1 \
 		FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-smoke-eval.json \
 		dune exec bench/main.exe -- eval

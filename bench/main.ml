@@ -22,6 +22,8 @@
      par                   parallel layer determinism & scaling
      ix                    incremental indexing / memoization A/B
      rw                    subsumption index + decomposed containment A/B
+     shard                 sharded work-stealing pool, -j1 vs -j4
+     eval                  leapfrog plan layer vs the register machine
      po                    portfolio selection over the zoo + fuzz smoke
      perf                  bechamel micro-benchmarks
 
@@ -722,18 +724,12 @@ let par () =
 (* ix — incremental indexing & containment memoization A/B             *)
 (* ------------------------------------------------------------------ *)
 
-(* The tentpole experiment of the indexing/memoization PR: run the chase
-   hot path (T_d on the depth-8 grid of E1/par) and the rewriting hot
-   path (generic saturation on T_d \ (loop), as in E11) with the
-   incremental index maintenance and the containment memo cache switched
-   off and on, in-process, via the instrumentation toggles. The toggles
-   *attribute* cost between index maintenance strategies and cache
-   traffic within this build; the headline speedup of the PR (>= 2x on
-   both hot paths vs the pre-PR build, whose sets re-derive their index
-   from scratch after every stage and recompute every containment
-   verdict) is measured against a checkout of the previous commit and
-   recorded in EXPERIMENTS.md. Timings are min-of-N (the box is noisy);
-   counters come from the instrumented run.
+(* The tentpole experiment of the indexing/memoization PR: time the
+   chase hot path (T_d on the depth-8 grid of E1/par) on the
+   incrementally-maintained index, and run the rewriting hot path
+   (generic saturation on T_d \ (loop), as in E11) with the containment
+   memo cache switched off and on, in-process. Timings are min-of-N (the
+   box is noisy); counters come from the instrumented run.
 
    FRONTIER_BENCH_SMOKE=1   shrink the workloads (CI smoke sizing)
    FRONTIER_BENCH_JSON=path also write the results as a JSON snapshot *)
@@ -741,8 +737,8 @@ let par () =
 let ix () =
   header "ix"
     "incremental fact-set indexing + containment memoization (A/B)"
-    "in-process toggles attribute the cost; the >= 2x-vs-pre-PR numbers \
-     live in EXPERIMENTS.md";
+    "the chase runs on the incremental index; the memo toggle attributes \
+     the rewriting's cache traffic";
   let smoke = Sys.getenv_opt "FRONTIER_BENCH_SMOKE" <> None in
   let reps = if smoke then 2 else 5 in
   let grid_len = if smoke then 4 else 8 in
@@ -783,26 +779,15 @@ let ix () =
     Chase.Engine.run ~max_depth:depth ~max_atoms:1_000_000 Theories.Zoo.t_d
       grid
   in
-  Fact_set.set_incremental false;
-  let run_off, chase_off = best chase in
-  let c_off = Fact_set.counters () in
-  Fact_set.set_incremental true;
-  let run_on, chase_on = best chase in
-  let c_on = Fact_set.counters () in
-  let atoms_on = Fact_set.cardinal (Chase.Engine.result run_on) in
+  let run, chase_s = best chase in
+  let c = Fact_set.counters () in
+  let atoms = Fact_set.cardinal (Chase.Engine.result run) in
   row "  chase T_d on G^%d depth %d (%d atoms, min of %d):@." grid_len depth
-    atoms_on reps;
-  row "    incremental off: %.3fs  (%d full builds / %d atoms re-indexed)@."
-    chase_off c_off.Fact_set.builds c_off.Fact_set.built_atoms;
-  row "    incremental on:  %.3fs  (%d extensions / %d delta atoms, %d \
+    atoms reps;
+  row "    incremental index: %.3fs  (%d extensions / %d delta atoms, %d \
        builds / %d atoms)@."
-    chase_on c_on.Fact_set.extends c_on.Fact_set.delta_atoms
-    c_on.Fact_set.builds c_on.Fact_set.built_atoms;
-  row "    speedup: x%.2f;  stages identical: %b@." (chase_off /. chase_on)
-    (Chase.Engine.depth run_off = Chase.Engine.depth run_on
-    && Fact_set.equal
-         (Chase.Engine.result run_off)
-         (Chase.Engine.result run_on));
+    chase_s c.Fact_set.extends c.Fact_set.delta_atoms c.Fact_set.builds
+    c.Fact_set.built_atoms;
   (* --- rewriting: generic saturation on T_d \ (loop) ----------------- *)
   let x = Term.var "x" and y = Term.var "y" in
   let q = Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.g2 [ x; y ] ] in
@@ -850,17 +835,14 @@ let ix () =
       @@ Printf.sprintf
            {|{
   "bench": "ix",
-  "note": "speedup fields compare in-process A/B toggles of this build; the >= 2x acceptance numbers vs the pre-PR build are in EXPERIMENTS.md",
+  "note": "warm_speedup compares the in-process memo toggle of this build; the chase has one arm, the incremental index",
   "smoke": %b,
   "reps": %d,
   "chase": {
     "workload": "T_d on G^%d, max_depth %d",
     "atoms": %d,
-    "incremental_off_s": %.6f,
-    "incremental_on_s": %.6f,
-    "speedup": %.3f,
-    "off_counters": { "builds": %d, "built_atoms": %d },
-    "on_counters": { "extends": %d, "delta_atoms": %d, "builds": %d, "built_atoms": %d }
+    "chase_s": %.6f,
+    "counters": { "extends": %d, "delta_atoms": %d, "builds": %d, "built_atoms": %d }
   },
   "rewrite": {
     "workload": "T_d minus loop, G(x,y), budget %d/%d/%d",
@@ -875,11 +857,9 @@ let ix () =
   }
 }
 |}
-        smoke reps grid_len depth atoms_on chase_off chase_on
-        (chase_off /. chase_on) c_off.Fact_set.builds
-        c_off.Fact_set.built_atoms c_on.Fact_set.extends
-        c_on.Fact_set.delta_atoms c_on.Fact_set.builds
-        c_on.Fact_set.built_atoms rewrite_budget.Rewriting.Rewrite.max_disjuncts
+        smoke reps grid_len depth atoms chase_s c.Fact_set.extends
+        c.Fact_set.delta_atoms c.Fact_set.builds c.Fact_set.built_atoms
+        rewrite_budget.Rewriting.Rewrite.max_disjuncts
         rewrite_budget.Rewriting.Rewrite.max_atoms_per_disjunct
         rewrite_budget.Rewriting.Rewrite.max_steps
         r_on.Rewriting.Rewrite.steps rw_off rw_cold rw_warm
@@ -893,7 +873,7 @@ let ix () =
 (* ------------------------------------------------------------------ *)
 
 (* The tentpole experiment of the subsumption-index PR. Both layers ship
-   behind toggles in the style of [Fact_set.set_incremental]:
+   behind toggles in the style of [Containment.set_memoization]:
 
      Ucq_index.set_indexing        the fingerprint-indexed UCQ store
      Containment.set_decomposition prescreen + Gaifman-component solving
@@ -1267,238 +1247,12 @@ let shard () =
   if not all_identical then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* arena — flat-arena engine: boxed vs arena A/B + cost-gated -j4      *)
-(* ------------------------------------------------------------------ *)
-
-(* The tentpole experiment of the flat-arena PR: run every saturation
-   client once with the boxed layer layout + map-based engine
-   ([Fact_set.set_arena false]) and once with the arena layout +
-   compiled register machine (the default), both at -j1, and check the
-   results are identical — the representation may only change wall
-   time, never the mathematics. A third arm repeats the arena run at
-   -j4 through the cost-gated pool: on a 1-core box the gate routes
-   everything inline, so the -j4 column measures the gate itself (it
-   must stay within a whisker of -j1, where the pre-gate scheduler
-   collapsed to 0.02-0.14x on the fan-out-happy workloads).
-
-   FRONTIER_BENCH_SMOKE=1   shrink the workloads (CI smoke sizing)
-   FRONTIER_BENCH_JSON=path also write the results as a JSON snapshot *)
-
-let arena () =
-  header "arena"
-    "flat-arena engine: boxed vs arena layouts at -j1 + cost-gated -j4"
-    "identical results across layouts; arena beats boxed; -j4 never \
-     collapses";
-  let smoke = Sys.getenv_opt "FRONTIER_BENCH_SMOKE" <> None in
-  let reps = if smoke then 1 else 2 in
-  let jobs = 4 in
-  let pool1 = Parallel.Pool.create 1 in
-  let pooln = Parallel.Pool.create jobs in
-  row "  comparing boxed -j1 / arena -j1 / arena -j%d (this machine has %d \
-       cores)@."
-    jobs
-    (Domain.recommended_domain_count ());
-  Homomorphism.reset_counters ();
-  Fact_set.reset_counters ();
-  (* [arena_on]: layer layout AND engine for the timed run; the memo is
-     cold at every rep so no arm inherits the previous arm's work. *)
-  let best ~arena_on f =
-    let t = ref infinity and out = ref None in
-    for _ = 1 to reps do
-      Fact_set.set_arena arena_on;
-      Containment.reset_memo ();
-      (* Each arm measures its own cost: compacting first stops the
-         previous arms' garbage (dead chase results, containment memos,
-         rewriting stores) from inflating this arm's major-GC marking
-         time — without it the later workloads read ~2x slower here
-         than the same call in a fresh process. *)
-      Gc.compact ();
-      let v, dt = time_it f in
-      if dt < !t then t := dt;
-      out := Some v
-    done;
-    Fact_set.set_arena true;
-    (Option.get !out, !t)
-  in
-  let tally_eq (a : Saturation.Stats.tally) (b : Saturation.Stats.tally) =
-    a.Saturation.Stats.expanded = b.Saturation.Stats.expanded
-    && a.Saturation.Stats.generated = b.Saturation.Stats.generated
-    && a.Saturation.Stats.admitted = b.Saturation.Stats.admitted
-    && a.Saturation.Stats.deduped = b.Saturation.Stats.deduped
-  in
-  let kernel_eq (a : Saturation.Stats.t) (b : Saturation.Stats.t) =
-    a.Saturation.Stats.rounds = b.Saturation.Stats.rounds
-    && tally_eq a.Saturation.Stats.totals b.Saturation.Stats.totals
-  in
-  let ucq_identical u1 u2 =
-    List.equal
-      (fun a b -> Cq.canon_id a = Cq.canon_id b)
-      (Ucq.disjuncts u1) (Ucq.disjuncts u2)
-  in
-  let results = ref [] in
-  let report ?(criterion = "identical") name tb ta tn identical detail =
-    row "  %-26s boxed %8.3fs   arena %8.3fs   x%-6.2f -j%d %8.3fs   %s@."
-      name tb ta (tb /. ta) jobs tn
-      (if identical then criterion else "MISMATCH");
-    if detail <> "" then row "    %s@." detail;
-    results := (name, tb, ta, tn, identical, criterion) :: !results
-  in
-  (* --- chase: T_d on the E1 grid ------------------------------------- *)
-  let grid_len = if smoke then 5 else 8 in
-  let depth = if smoke then 5 else 7 in
-  let _, _, grid = Theories.Instances.path Theories.Zoo.g2 grid_len in
-  let chase pool () =
-    Chase.Engine.run ~pool ~max_depth:depth ~max_atoms:400_000
-      Theories.Zoo.t_d grid
-  in
-  let cb, cbt = best ~arena_on:false (chase pool1) in
-  let ca, cat_ = best ~arena_on:true (chase pool1) in
-  let cn, cnt = best ~arena_on:true (chase pooln) in
-  let stages_identical c1 c2 =
-    Chase.Engine.depth c1 = Chase.Engine.depth c2
-    && List.for_all
-         (fun i ->
-           Fact_set.equal (Chase.Engine.stage c1 i) (Chase.Engine.stage c2 i))
-         (List.init (Chase.Engine.depth c1 + 1) Fun.id)
-    && Array.for_all2
-         (fun (a : Saturation.Stats.round) (b : Saturation.Stats.round) ->
-           a.Saturation.Stats.index = b.Saturation.Stats.index
-           && tally_eq a.Saturation.Stats.tally b.Saturation.Stats.tally)
-         (Chase.Engine.stage_stats c1)
-         (Chase.Engine.stage_stats c2)
-  in
-  report
-    (Printf.sprintf "chase T_d G^%d depth %d" grid_len depth)
-    cbt cat_ cnt
-    (stages_identical cb ca && stages_identical ca cn)
-    (Printf.sprintf "%d stages, %d atoms"
-       (Chase.Engine.depth ca + 1)
-       (Fact_set.cardinal (Chase.Engine.result ca)));
-  (* --- generic rewriting saturation (the E11 workload) --------------- *)
-  let x = Term.var "x" and y = Term.var "y" in
-  let q = Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.g2 [ x; y ] ] in
-  let budget =
-    {
-      Rewriting.Rewrite.max_disjuncts = (if smoke then 60 else 200);
-      max_atoms_per_disjunct = (if smoke then 20 else 24);
-      max_steps = (if smoke then 120 else 2_000);
-    }
-  in
-  let rewrite pool () =
-    Rewriting.Rewrite.rewrite ~pool ~budget Theories.Zoo.t_d_noloop q
-  in
-  let rb, rbt = best ~arena_on:false (rewrite pool1) in
-  let ra, rat = best ~arena_on:true (rewrite pool1) in
-  let rn, rnt = best ~arena_on:true (rewrite pooln) in
-  report ~criterion:"equivalent" "generic T_d\\(loop)" rbt rat rnt
-    (Ucq.equivalent rb.Rewriting.Rewrite.ucq ra.Rewriting.Rewrite.ucq
-    && Ucq.equivalent ra.Rewriting.Rewrite.ucq rn.Rewriting.Rewrite.ucq)
-    (Printf.sprintf "boxed %d steps / %d disjuncts, arena %d steps / %d \
-                     disjuncts"
-       rb.Rewriting.Rewrite.steps
-       (Ucq.cardinal rb.Rewriting.Rewrite.ucq)
-       ra.Rewriting.Rewrite.steps
-       (Ucq.cardinal ra.Rewriting.Rewrite.ucq));
-  (* --- E2: the marked process on phi_R^n ----------------------------- *)
-  let n2 = if smoke then 3 else 5 in
-  let _, _, phi = Theories.Zoo.phi_r n2 in
-  let td pool () = Marked.Process.rewrite_td ~pool phi in
-  let mb, mbt = best ~arena_on:false (td pool1) in
-  let ma, mat_ = best ~arena_on:true (td pool1) in
-  let mn, mnt = best ~arena_on:true (td pooln) in
-  let marked_eq (a : Marked.Process.result) (b : Marked.Process.result) =
-    a.Marked.Process.stats = b.Marked.Process.stats
-    && kernel_eq a.Marked.Process.kernel_stats b.Marked.Process.kernel_stats
-    && ucq_identical a.Marked.Process.rewriting b.Marked.Process.rewriting
-  in
-  report
-    (Printf.sprintf "E2 phi_R^%d (T_d)" n2)
-    mbt mat_ mnt
-    (marked_eq mb ma && marked_eq ma mn)
-    (Printf.sprintf "%d steps, %d disjuncts"
-       ma.Marked.Process.stats.Marked.Process.steps
-       (Ucq.cardinal ma.Marked.Process.rewriting));
-  (* --- E3: one level-descent step of a T_d^K tower ------------------- *)
-  let kk, lvl, n3 = if smoke then (3, 3, 1) else (2, 2, 5) in
-  let _, _, phi_i = Theories.Zoo.phi_i lvl n3 in
-  let tdk pool () =
-    Marked.Process.rewrite_tdk ~pool kk ~max_steps:500_000 phi_i
-  in
-  let kb, kbt = best ~arena_on:false (tdk pool1) in
-  let ka, kat = best ~arena_on:true (tdk pool1) in
-  let kn, knt = best ~arena_on:true (tdk pooln) in
-  report
-    (Printf.sprintf "E3 phi_I%d^%d (T_d^%d)" lvl n3 kk)
-    kbt kat knt
-    (marked_eq kb ka && marked_eq ka kn)
-    (Printf.sprintf "%d steps, %d disjuncts"
-       ka.Marked.Process.stats.Marked.Process.steps
-       (Ucq.cardinal ka.Marked.Process.rewriting));
-  (* --- engine / store / gate telemetry ------------------------------- *)
-  let astats = Arena.stats Arena.global in
-  let hc = Homomorphism.counters () in
-  let fc = Fact_set.counters () in
-  row "  arena store: %d spans / %d ints / %.1f MiB@." astats.Arena.spans
-    astats.Arena.ints
-    (float_of_int astats.Arena.bytes /. 1024. /. 1024.);
-  row "  compiled engine: %d searches / %d nodes / %d reg ops / %d \
-       solutions@."
-    hc.Homomorphism.searches hc.Homomorphism.nodes hc.Homomorphism.reg_ops
-    hc.Homomorphism.solutions;
-  row "  join index: %d posting probes / %d intersections@."
-    fc.Fact_set.posting_probes fc.Fact_set.posting_intersections;
-  let all_identical =
-    List.for_all (fun (_, _, _, _, ok, _) -> ok) !results
-  in
-  row "  all workloads meet their cross-layout contract: %b@." all_identical;
-  (* --- optional JSON snapshot ---------------------------------------- *)
-  (match Sys.getenv_opt "FRONTIER_BENCH_JSON" with
-  | None -> ()
-  | Some path ->
-      let entry (name, tb, ta, tn, identical, criterion) =
-        Printf.sprintf
-          {|    {
-      "workload": %S,
-      "boxed_j1_s": %.6f,
-      "arena_j1_s": %.6f,
-      "speedup": %.3f,
-      "arena_j%d_s": %.6f,
-      "j%d_vs_j1": %.3f,
-      "criterion": %S,
-      "passed": %b
-    }|}
-          name tb ta (tb /. ta) jobs tn jobs (ta /. tn) criterion identical
-      in
-      Checkpoint.Atomic_io.write_file path
-      @@ Printf.sprintf
-           {|{
-  "bench": "arena",
-  "note": "boxed layout + map engine vs arena layout + compiled register machine, both -j1; the -j%d arm runs the arena build through the cost-gated pool (inline on a 1-core box). speedup = boxed_j1_s / arena_j1_s; j%d_vs_j1 = arena_j1_s / arena_j%d_s (>= 0.9 required).",
-  "smoke": %b,
-  "reps": %d,
-  "cores": %d,
-  "workloads": [
-%s
-  ]
-}
-|}
-        jobs jobs jobs smoke reps
-        (Domain.recommended_domain_count ())
-        (String.concat ",\n" (List.rev_map entry !results));
-      row "  json snapshot written to %s@." path);
-  Parallel.Pool.shutdown pool1;
-  Parallel.Pool.shutdown pooln;
-  (* check-arena gates on this experiment: a cross-layout mismatch is an
-     engine bug, not a measurement. *)
-  if not all_identical then exit 1
-
-(* ------------------------------------------------------------------ *)
 (* eval — the plan layer on million-fact instances                     *)
 (* ------------------------------------------------------------------ *)
 
 let eval () =
   header "eval"
-    "plan layer: leapfrog joins vs boxed enumeration on large instances"
+    "plan layer: leapfrog joins vs the register machine on large instances"
     "identical answers; leapfrog >= 2x at 10^6 facts; rewrite-then-evaluate \
      = chase-then-query";
   let smoke = Sys.getenv_opt "FRONTIER_BENCH_SMOKE" <> None in
@@ -1507,32 +1261,32 @@ let eval () =
   let equal_tuples a b = List.compare (List.compare Term.compare) a b = 0 in
   let results = ref [] in
   let report kind name tl tb n identical =
-    row "  %-24s leapfrog %8.3fs   boxed %8.3fs   x%-6.2f %8d answers   %s@."
+    row "  %-24s leapfrog %8.3fs   register machine %8.3fs   x%-6.2f %8d \
+         answers   %s@."
       name tl tb (tb /. tl) n
       (if identical then "identical" else "MISMATCH");
     results := (kind, name, tl, tb, n, identical) :: !results
   in
-  (* [on]: plan-layer engine for the timed run. Both arms see the same
+  (* [answers]: the engine of the timed run — [Eval.answers] (leapfrog)
+     or [Cq.answers] (the register machine). Both arms see the same
      Fact_set, so neither pays the instance build; the leapfrog arm's
      per-call Prepared sort IS part of its cost, deliberately. *)
-  let best on q d =
+  let best answers q d =
     let t = ref infinity and out = ref None in
     for _ = 1 to reps do
-      Eval.set_eval on;
       Gc.compact ();
-      let v, dt = time_it (fun () -> Eval.answers q d) in
+      let v, dt = time_it (fun () -> answers q d) in
       if dt < !t then t := dt;
       out := Some v
     done;
-    Eval.set_eval true;
     (Option.get !out, !t)
   in
   let ab name q d =
-    let lf, tl = best true q d in
-    let bx, tb = best false q d in
-    report "ab" name tl tb (List.length lf) (equal_tuples lf bx)
+    let lf, tl = best (fun q d -> Eval.answers q d) q d in
+    let rm, tr = best Cq.answers q d in
+    report "ab" name tl tr (List.length lf) (equal_tuples lf rm)
   in
-  (* --- A/B: leapfrog vs the boxed reference ------------------------- *)
+  (* --- A/B: leapfrog vs the register machine ------------------------ *)
   let gside = if smoke then 40 else 710 in
   let grid =
     Theories.Instances.grid Theories.Zoo.r2 Theories.Zoo.g2 ~width:gside
@@ -1541,7 +1295,7 @@ let eval () =
   row "  grid %dx%d: %d facts@." gside gside (Fact_set.cardinal grid);
   let _, _, rq2 = Theories.Zoo.r_path_query 2 in
   ab "grid R-path^2" rq2 grid;
-  (* Density matters: at ~15 edges/node the boxed engine's per-edge
+  (* Density matters: at ~15 edges/node the register machine's per-edge
      neighbourhood scans dwarf the leapfrog intersections, which is
      where the worst-case-optimal join earns its keep. *)
   let er_nodes, er_edges =
@@ -1642,7 +1396,7 @@ let eval () =
       0. !results
   in
   row "  answers agree on every workload: %b@." all_identical;
-  row "  best leapfrog speedup over boxed: x%.2f@." ab_speedup;
+  row "  best leapfrog speedup over the register machine: x%.2f@." ab_speedup;
   (* --- optional JSON snapshot ---------------------------------------- *)
   (match Sys.getenv_opt "FRONTIER_BENCH_JSON" with
   | None -> ()
@@ -1661,14 +1415,14 @@ let eval () =
           kind name
           (if kind = "ab" then "leapfrog_s" else "rewrite_eval_s")
           tl
-          (if kind = "ab" then "boxed_s" else "chase_query_s")
+          (if kind = "ab" then "register_machine_s" else "chase_query_s")
           tb (tb /. tl) n ok
       in
       Checkpoint.Atomic_io.write_file path
       @@ Printf.sprintf
            {|{
   "bench": "eval",
-  "note": "leapfrog plan layer vs boxed enumeration (kind=ab) and the frontier-answer pipeline vs chase-then-query (kind=e2e); speedup = boxed_s / leapfrog_s resp. chase_query_s / rewrite_eval_s.",
+  "note": "leapfrog plan layer (Eval.answers) vs the register machine (Cq.answers) (kind=ab) and the frontier-answer pipeline vs chase-then-query (kind=e2e); speedup = register_machine_s / leapfrog_s resp. chase_query_s / rewrite_eval_s.",
   "smoke": %b,
   "reps": %d,
   "plans": %d,
@@ -1685,7 +1439,7 @@ let eval () =
       row "  json snapshot written to %s@." path);
   (* check-eval gates on this experiment: an answer mismatch is an
      engine bug; in full sizing the 10^6-fact workloads must also show
-     the leapfrog layer is genuinely faster than the boxed reference. *)
+     the leapfrog layer is genuinely faster than the register machine. *)
   if not all_identical then exit 1;
   if (not smoke) && ab_speedup < 2. then begin
     row "  FAIL: expected >= 2x leapfrog speedup on 10^6-fact workloads@.";
@@ -1803,7 +1557,7 @@ let experiments =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("e13", e13); ("e14", e14); ("par", par); ("ix", ix);
-    ("rw", rw); ("shard", shard); ("arena", arena); ("eval", eval); ("po", po);
+    ("rw", rw); ("shard", shard); ("eval", eval); ("po", po);
     ("perf", perf);
   ]
 

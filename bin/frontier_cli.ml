@@ -129,9 +129,7 @@ let parse_query s = Frontier.Parse.query (read_source s)
 
 (* Engine telemetry for [--stats], one schema for every subcommand
    (chase, rewrite, answer): the process-wide tallies are sampled before
-   the run and printed as deltas, plus the arena's absolute size (the
-   store is append-only and process-wide, so a delta would undersell
-   it). bench tables and tools/bench_drift.py rely on the lines being
+   the run and printed as deltas. bench tables and tools/bench_drift.py rely on the lines being
    identical across paths — add new telemetry here, not in a command. *)
 let engine_stats_before () =
   ( Frontier.Homomorphism.counters (),
@@ -140,14 +138,10 @@ let engine_stats_before () =
     Frontier.Eval.counters () )
 
 let print_engine_stats (h0, f0, g0, e0) =
-  let a = Frontier.Arena.stats Frontier.Arena.global in
   let h1 = Frontier.Homomorphism.counters () in
   let f1 = Frontier.Fact_set.counters () in
   let g1 = Frontier.Pool.gate_counters () in
   let e1 = Frontier.Eval.counters () in
-  Fmt.pr "arena: %d spans / %d ints / %.2f MiB@." a.Frontier.Arena.spans
-    a.Frontier.Arena.ints
-    (float_of_int a.Frontier.Arena.bytes /. 1024. /. 1024.);
   Fmt.pr "compiled joins: %d searches / %d nodes / %d register ops / %d \
           solutions@."
     (h1.Frontier.Homomorphism.searches - h0.Frontier.Homomorphism.searches)
@@ -324,10 +318,10 @@ let chase_cmd =
       & info [ "stats" ]
           ~doc:
             "Print per-stage work counters (triggers, derived atoms, wall \
-             time, per-domain busy time) plus the flat-arena engine \
-             telemetry: arena size, compiled-join searches and register \
-             ops, posting-list probes, and the parallel cost gate's \
-             inline/fan-out batch split.")
+             time, per-domain busy time) plus the engine telemetry: \
+             compiled-join searches and register ops, posting-list \
+             probes, and the parallel cost gate's inline/fan-out batch \
+             split.")
   in
   Cmd.v
     (Cmd.info "chase" ~doc:"Run the chase (semi-oblivious by default)")
@@ -404,10 +398,10 @@ let rewrite_cmd =
             "Print the saturation kernel's counters (rounds, frontier \
              expansions, admissions, dedups), the solver counters (pairs \
              pruned by the UCQ subsumption index, containment searches \
-             decomposed into Gaifman components), and the flat-arena \
-             engine telemetry: arena size, compiled-join searches and \
-             register ops, posting-list probes, and the parallel cost \
-             gate's inline/fan-out batch split.")
+             decomposed into Gaifman components), and the engine \
+             telemetry: compiled-join searches and register ops, \
+             posting-list probes, and the parallel cost gate's \
+             inline/fan-out batch split.")
   in
   Cmd.v
     (Cmd.info "rewrite" ~doc:"Compute the UCQ rewriting of a query")

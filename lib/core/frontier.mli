@@ -40,7 +40,6 @@ module Containment = Logic.Containment
 module Tgd = Logic.Tgd
 module Theory = Logic.Theory
 module Homomorphism = Logic.Homomorphism
-module Arena = Logic.Arena
 module Render = Logic.Render
 
 module Eval = Eval
@@ -49,7 +48,8 @@ module Eval = Eval
     and is the single entry point for answering a rewriting over data —
     {!certain_answers} and {!answer_via_rewriting} below run on it, as
     do the chase's trigger matching and the containment solver's
-    existence probes (legacy engines stay behind [Eval.set_eval]). *)
+    existence probes (queries the leapfrog compiler declines fall back
+    to the register machine). *)
 
 module Chase_engine = Chase.Engine
 module Entailment = Chase.Entailment

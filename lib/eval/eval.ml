@@ -1,8 +1,5 @@
 open Logic
 
-let set_eval = Eval_hook.set_eval
-let eval_enabled = Eval_hook.eval_enabled
-
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -56,9 +53,8 @@ type compiled = {
   parts : int array array;  (* level -> indices of atoms binding it *)
 }
 
-(* A plan always keeps the pieces the legacy boxed engine needs, so the
-   [set_eval] A/B toggle (and queries the leapfrog engine declines) can
-   fall back without recompiling. *)
+(* A plan keeps the pieces the register machine needs, so queries the
+   leapfrog compiler declines ([p_compiled = None]) run on it instead. *)
 type plan = {
   p_init : Term.t Term.Map.t;
   p_flexible : Term.Set.t;
@@ -297,8 +293,8 @@ module Prepared = struct
           !buf.(!n) <- id;
           incr n
         in
-        Fact_set.iter_candidate_rows t.fs rel ~bound:[]
-          (fun _atoms ids row ->
+        Fact_set.iter_join_candidates t.fs rel ~bound_pos:[||] ~bound_ids:[||]
+          ~nb:0 (fun _atoms ids row ->
             if arity = 0 then push 0
             else
               for p = 0 to arity - 1 do
@@ -347,8 +343,8 @@ end
    move-to-front LRU): repeated queries against one instance — the
    answer pipeline's evaluate-then-compare passes, repeated CQ calls on
    a chase result, the benchmark's A/B reps — amortize the sorted-view
-   build exactly as the boxed engine amortizes its join index inside
-   [Fact_set]. Small sets skip the cache: their build is cheaper than
+   build exactly as the register machine amortizes its join index
+   inside [Fact_set]. Small sets skip the cache: their build is cheaper than
    the eviction pressure they would put on the million-fact entries
    (containment probes churn through thousands of tiny targets). *)
 let prepared_cache_max = 4
@@ -616,7 +612,7 @@ let run_compiled ?guard ?limit c prepared =
   | Limit -> finish false
 
 (* ------------------------------------------------------------------ *)
-(* Legacy (boxed) execution — the [set_eval false] reference           *)
+(* Legacy execution: the register machine, for uncompilable plans     *)
 (* ------------------------------------------------------------------ *)
 
 let legacy_problem p target =
@@ -642,8 +638,8 @@ let run_legacy ?guard p prepared =
 
 let run_plan ?guard ?limit p prepared =
   match p.p_compiled with
-  | Some c when eval_enabled () -> run_compiled ?guard ?limit c prepared
-  | _ -> run_legacy ?guard p prepared
+  | Some c -> run_compiled ?guard ?limit c prepared
+  | None -> run_legacy ?guard p prepared
 
 let outcome_of ?guard tuples =
   match guard with
@@ -660,10 +656,10 @@ let run ?guard p prepared =
 let exists_pieces ~init ~flexible atoms prepared =
   let p = compile_pieces ~init ~flexible ~free:[] atoms in
   match p.p_compiled with
-  | Some c when eval_enabled () ->
+  | Some c ->
       let tuples, _ = run_compiled ~limit:1 c prepared in
       tuples <> []
-  | _ -> Homomorphism.exists (legacy_problem p (Prepared.fact_set prepared))
+  | None -> Homomorphism.exists (legacy_problem p (Prepared.fact_set prepared))
 
 (* ------------------------------------------------------------------ *)
 (* CQ / UCQ entry points                                               *)
@@ -817,16 +813,12 @@ let probe_leapfrog_min = 64
 
 let () =
   Eval_hook.register (fun ~init ~flexible ~pattern ~target ->
-      if not (Eval_hook.eval_enabled ()) then None
-      else
-        let p = compile_pieces ~init ~flexible ~free:[] pattern in
-        match p.p_compiled with
-        | None -> None
-        | Some c ->
-            if Fact_set.cardinal target < probe_leapfrog_min then
-              Some (Homomorphism.exists (legacy_problem p target))
-            else
-              let tuples, _ =
-                run_compiled ~limit:1 c (prepared_for target)
-              in
-              Some (tuples <> []))
+      let p = compile_pieces ~init ~flexible ~free:[] pattern in
+      match p.p_compiled with
+      | None -> None
+      | Some c ->
+          if Fact_set.cardinal target < probe_leapfrog_min then
+            Some (Homomorphism.exists (legacy_problem p target))
+          else
+            let tuples, _ = run_compiled ~limit:1 c (prepared_for target) in
+            Some (tuples <> []))

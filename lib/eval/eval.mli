@@ -3,7 +3,7 @@
     Rewriting turns an ontology-mediated query into a UCQ; this module
     is the half that {e executes} the result against data. A CQ compiles
     into a worst-case-optimal, leapfrog-style multiway join over sorted
-    per-column views of the fact set's arena rows: one global variable
+    per-column views of the fact set's packed rows: one global variable
     elimination order (connectivity-greedy — each next variable shares
     an atom with the ordered prefix whenever possible), per-atom
     key-column permutations fixed
@@ -17,17 +17,11 @@
     the chase engine uses (delegating to the register-machine engine —
     trigger {e order} names fresh nulls, so it must stay bit-identical),
     and at module initialization an existence probe is registered in
-    {!Eval_hook} for the containment solver. The legacy boxed paths
-    remain reachable only through the {!set_eval} A/B toggle. *)
+    {!Eval_hook} for the containment solver. Queries the leapfrog
+    compiler declines run on the register machine
+    ({!Homomorphism.iter}) instead. *)
 
 open Logic
-
-val set_eval : bool -> unit
-(** A/B switch (same pattern as {!Fact_set.set_arena}): [false] routes
-    {!answers}, {!holds}, the UCQ evaluators and the containment probe
-    back onto the legacy boxed enumeration. Defaults to [true]. *)
-
-val eval_enabled : unit -> bool
 
 (** {1 Plans} *)
 
@@ -43,7 +37,7 @@ module Plan : sig
 
   val compiled : t -> bool
   (** [true]: the plan runs on the leapfrog join; [false]: it delegates
-      to the boxed homomorphism enumeration. *)
+      to the register machine ({!Homomorphism.iter}). *)
 
   val order : t -> Term.t list
   (** The global variable elimination order: connectivity-greedy from
@@ -60,8 +54,8 @@ end
     (relation, key order) under a per-view mutex, so pool workers can
     share one view. The CQ/UCQ entry points below cache views per fact
     set (physical identity, small LRU) — repeated queries against one
-    instance amortize the sort the same way the boxed engine amortizes
-    its join index. *)
+    instance amortize the sort the same way {!Fact_set} amortizes its
+    join index. *)
 module Prepared : sig
   type t
 
@@ -84,8 +78,9 @@ val run :
 (** {1 CQ / UCQ evaluation}
 
     Drop-in equivalents of [Cq.holds]/[Cq.answers]/[Ucq.boolean_holds],
-    executing through plans (or through the legacy engine when
-    {!eval_enabled} is off — results are identical either way). *)
+    executing through plans (and, for queries the leapfrog compiler
+    declines, through the register machine — results are identical
+    either way). *)
 
 val answers : ?guard:Guard.t -> Cq.t -> Fact_set.t -> Term.t list list
 (** All distinct answer tuples, like {!Cq.answers}. On a guard trip the

@@ -2,24 +2,19 @@
    every interned atom lives as one contiguous *span* of a flat [int]
    array — [sym_id; arity; arg0_id; ...; arg(k-1)_id] — with O(1)
    id <-> span lookup in both directions. Atom ids are dense (0, 1, 2,
-   ...in interning order), so a fact-set table can store plain [int
-   array]s of atom ids and the join engine can decode any argument with
-   two array reads, never touching a boxed [Atom.t]. The boxed atom is
-   kept in a parallel id-indexed table for the moments a solution
-   escapes the int world (handing a matched fact to a callback).
+   ...in interning order), so any argument decodes with two array reads,
+   never touching a boxed [Atom.t]. The boxed atom is kept in a parallel
+   id-indexed table for [to_atom].
 
-   One arena per process ([global]) is the normal mode — interning is
-   hash-consing, so sharing maximizes hits — but arenas are first-class
-   ([create]) so the unit tests can exercise growth and decoding from a
-   known-empty state.
+   Nothing in the library interns into it ([Fact_set] keeps argument ids
+   in its own slabs); [global] exists for tooling that reads its [stats],
+   and arenas are first-class ([create]) so the unit tests can exercise
+   growth and decoding from a known-empty state.
 
-   Concurrency: interning takes the arena's mutex (the chase interns
-   from the coordinator while building index layers, so the lock is
-   effectively uncontended). Readers are lock-free: a span is fully
-   written before its id escapes the intern call, growth republishes a
-   fresh storage array rather than resizing in place, and ids travel to
-   other domains only inside structures handed through the pool's job
-   barrier. *)
+   Concurrency: interning takes the arena's mutex. Readers are
+   lock-free: a span is fully written before its id escapes the intern
+   call, and growth republishes a fresh storage array rather than
+   resizing in place. *)
 
 type big = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 

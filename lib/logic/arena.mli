@@ -1,10 +1,12 @@
 (** The flat atom arena: a Bigarray-backed, append-only int-packed store
     in which every interned atom is one contiguous span of a flat [int]
     array — [sym_id; arity; arg term ids...] — with O(1) id↔span lookup
-    both ways. Fact-set tables built in arena mode
-    ({!Fact_set.set_arena}) store plain atom-id rows into this store,
-    and the compiled homomorphism join decodes arguments with two array
-    reads instead of chasing [Atom.t]/[Term.t] pointers.
+    both ways.
+
+    No library code interns into it: {!Fact_set} keeps its argument ids
+    in its own per-relation slabs. The module is kept for its unit tests
+    and for benchmark tooling that reads {!stats} of {!global} (which
+    therefore stays empty).
 
     Atom ids are dense interning indices (0, 1, ... in first-intern
     order), valid for the arena's lifetime; the store never shrinks.
@@ -13,11 +15,10 @@
 type t
 
 val create : ?initial:int -> unit -> t
-(** A fresh, empty arena ([initial] is the initial capacity in ints).
-    Mainly for tests; production code shares {!global}. *)
+(** A fresh, empty arena ([initial] is the initial capacity in ints). *)
 
 val global : t
-(** The process-wide arena used by {!Fact_set}'s arena-mode layers. *)
+(** A process-wide arena. Nothing in the library interns into it. *)
 
 val intern : t -> Atom.t -> int
 (** The arena id of [atom], appending a new span on first sight —
@@ -49,5 +50,4 @@ val ints : t -> int
 type stats = { spans : int; ints : int; bytes : int }
 
 val stats : t -> stats
-(** Snapshot of the arena's size — surfaced by [--stats] and the bench
-    stage tables. *)
+(** Snapshot of the arena's size. *)

@@ -86,11 +86,9 @@ let exists_decomposed ~from ~into ~init =
        ([None]) problems it cannot compile — then, and in programs that
        never link the plan layer, the in-library search runs. *)
     let planned =
-      if Eval_hook.eval_enabled () then
-        match Eval_hook.probe () with
-        | Some probe -> probe ~init ~flexible ~pattern:atoms ~target
-        | None -> None
-      else None
+      match Eval_hook.probe () with
+      | Some probe -> probe ~init ~flexible ~pattern:atoms ~target
+      | None -> None
     in
     match planned with
     | Some verdict -> verdict

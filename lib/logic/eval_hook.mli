@@ -5,18 +5,8 @@
     homomorphism probes through the plan layer. This module breaks the
     cycle: [Eval] registers a probe closure here at module
     initialization, and [Containment] consults it — falling back to the
-    in-library engine when nothing is registered (a program that never
-    links [eval]) or when the A/B toggle is off.
-
-    The toggle itself also lives here so that both sides of the layer
-    boundary observe one switch: [Eval.set_eval] is this [set_eval]. *)
-
-val set_eval : bool -> unit
-(** A/B switch (same pattern as {!Fact_set.set_arena}): [false] restores
-    the legacy boxed/register-machine matching everywhere the plan layer
-    would otherwise run. Defaults to [true]. *)
-
-val eval_enabled : unit -> bool
+    in-library register machine when nothing is registered (a program
+    that never links [eval]) or when the probe declines. *)
 
 type probe =
   init:Term.t Term.Map.t ->
@@ -27,7 +17,7 @@ type probe =
 (** A boolean existence probe: is there a homomorphism of [pattern] into
     [target] extending [init] on the [flexible] terms? [None] means the
     plan layer declines the problem (e.g. a pattern argument it cannot
-    compile) and the caller must use its legacy engine. *)
+    compile) and the caller must use the register machine. *)
 
 val register : probe -> unit
 (** Install the plan layer's probe (last registration wins). *)

@@ -72,20 +72,22 @@ val apply : mapping -> flexible:Term.Set.t -> Atom.t -> Atom.t
 
 (** {1 Engine instrumentation}
 
-    With {!Fact_set.arena_enabled} (the default) and no [prefer], the
-    search runs on a compiled register machine: flexible terms become
-    int registers, pattern atoms compile to int slot arrays, candidates
+    The search runs on a register machine: flexible terms become int
+    registers, pattern atoms compile to int slot arrays, candidates
     stream off the fact set's packed id slabs, and backtracking pops a
-    trail — no allocation per search node, terms rematerialized only for
-    complete homomorphisms. It enumerates mappings in exactly the boxed
-    engine's order (pinned by the QCheck differentials). These process-
-    wide counters measure that engine; thread-safe. *)
+    trail — no allocation per candidate, terms rematerialized only for
+    complete homomorphisms. Each search node picks the most-bound alive
+    pattern atom (first in pattern order, ties to the higher
+    [tie_break]) and visits its candidate facts in {!Fact_set}'s index
+    order, stably re-sorted by [prefer]'s rank when one is given — an
+    order the chase's null naming depends on. These process-wide
+    counters measure the engine; thread-safe. *)
 
 type counters = {
-  searches : int;  (** compiled-engine invocations *)
+  searches : int;  (** engine invocations *)
   nodes : int;  (** search nodes (seed selections) *)
   reg_ops : int;  (** register-machine slot checks *)
-  solutions : int;  (** homomorphisms enumerated by the compiled engine *)
+  solutions : int;  (** homomorphisms enumerated *)
 }
 
 val counters : unit -> counters

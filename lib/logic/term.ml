@@ -18,7 +18,7 @@ let counter = ref 0
 let table_lock = Mutex.create ()
 
 (* Reverse map: id -> term, a growable array indexed directly by the
-   dense interning counter. The flat-arena join engine works on bare
+   dense interning counter. The register-machine join engine works on bare
    term ids and only rematerializes a [Term.t] when a binding survives
    to a solution, so the lookup must be O(1) and allocation-free. Reads
    are lock-free: slot [id] is written (under [table_lock]) before the

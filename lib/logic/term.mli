@@ -34,7 +34,7 @@ val hash : t -> int
 
 val of_id : int -> t
 (** The term whose hash-consing id is [id] — the inverse of [hash] /
-    [t.id], in O(1). The flat-arena join engine carries bare term ids
+    [t.id], in O(1). The register-machine join engine carries bare term ids
     through its registers and only rematerializes terms for surviving
     solutions. Raises [Invalid_argument] on an id no term was ever
     interned with. *)

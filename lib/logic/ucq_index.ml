@@ -32,8 +32,8 @@ type t = {
   mutable n_live : int;
 }
 
-(* A/B switch, following the [Fact_set.set_incremental] /
-   [Containment.set_memoization] convention. *)
+(* A/B switch, following the [Containment.set_memoization]
+   convention. *)
 let indexing = Atomic.make true
 let set_indexing b = Atomic.set indexing b
 let indexing_enabled () = Atomic.get indexing

@@ -63,7 +63,7 @@ val pair_feasible : from:Cq.t -> into:Cq.t -> bool
 (** {1 A/B toggle and instrumentation} *)
 
 val set_indexing : bool -> unit
-(** A/B switch in the style of [Fact_set.set_incremental]:
+(** A/B switch in the style of [Containment.set_memoization]:
     [set_indexing false] restores the unindexed reference engines
     (linear scans, no fingerprint pruning) in every caller that consults
     this toggle. Defaults to [true]. *)

@@ -271,6 +271,32 @@ let test_core_model_is_model () =
         (Fact_set.equal (Chase.Core_model.core_of ~keep core) core)
   | None -> Alcotest.fail "expected a core"
 
+let test_core_of_chase_pins () =
+  (* [core_of_chase] steers its fold search with [~prefer] (folds onto
+     instance constants first); the stage it stops at and the sizes of
+     the model and core it returns are pinned. *)
+  let pin name theory d ~c:c_expected ~model ~core =
+    match Chase.Core_model.core_of_chase ~max_c:6 ~lookahead:4 theory d with
+    | Some r ->
+        Alcotest.(check (list int))
+          (name ^ ": c, |model|, |core|")
+          [ c_expected; model; core ]
+          [
+            r.Chase.Core_model.c;
+            Fact_set.cardinal r.Chase.Core_model.model;
+            Fact_set.cardinal r.Chase.Core_model.core;
+          ]
+    | None -> Alcotest.failf "%s: expected a core" name
+  in
+  pin "T_loopcut on one edge" Theories.Zoo.t_loopcut
+    (Theories.Instances.single_edge Theories.Zoo.e2)
+    ~c:2 ~model:2 ~core:2;
+  (let _, _, path2 = Theories.Instances.path Theories.Zoo.e2 2 in
+   pin "T_c on a 2-path" Theories.Zoo.t_c path2 ~c:2 ~model:4 ~core:4);
+  pin "T_spouse on Person(ann)" Theories.Zoo.t_spouse
+    (Fact_set.of_list [ atom Theories.Zoo.person [ c "ann" ] ])
+    ~c:2 ~model:4 ~core:4
+
 let test_datalog_saturates () =
   (* Transitive closure is all-instances terminating. *)
   let x = v "x" and y = v "y" and z = v "z" in
@@ -443,6 +469,8 @@ let () =
           Alcotest.test_case "uniform bound on family" `Quick
             test_uniform_bound_family;
           Alcotest.test_case "lemma 33 (C_D)" `Quick test_lemma33;
+          Alcotest.test_case "core_of_chase pins" `Quick
+            test_core_of_chase_pins;
         ] );
       ( "properties",
         [

@@ -1,18 +1,14 @@
 (* The executable-plan evaluation layer: plan compilation, leapfrog
-   answers against the Cq reference, UCQ union dedup, the set_eval A/B
-   toggle, the containment probe, guard integration (a tripped join
-   returns a sound partial answer set), and the Match trigger rounds. *)
+   answers against the Cq reference, UCQ union dedup, the containment
+   probe (both of its engines) against the naive matcher, guard
+   integration (a tripped join returns a sound partial answer set), and
+   the Match trigger rounds. *)
 
 open Logic
 
 let tuples = Alcotest.testable
     (Fmt.list ~sep:Fmt.semi (Fmt.list ~sep:Fmt.comma Term.pp))
     (fun a b -> List.compare (List.compare Term.compare) a b = 0)
-
-let with_eval on f =
-  let prev = Eval.eval_enabled () in
-  Eval.set_eval on;
-  Fun.protect ~finally:(fun () -> Eval.set_eval prev) f
 
 let x = Term.var "x"
 let y = Term.var "y"
@@ -117,18 +113,6 @@ let test_ucq_union_dedup () =
       Alcotest.(check bool) "ucq holds" true (Eval.ucq_holds u er tuple))
     reference
 
-let test_toggle_and_legacy_agree () =
-  let ba = Theories.Instances.barabasi_albert Theories.Zoo.e2 ~seed:13
-      ~nodes:40 ~m:3 in
-  let q =
-    Cq.make ~free:[ x; y ]
-      [ Atom.make Theories.Zoo.e2 [ x; z ]; Atom.make Theories.Zoo.e2 [ y; z ] ]
-  in
-  let on = with_eval true (fun () -> Eval.answers q ba) in
-  let off = with_eval false (fun () -> Eval.answers q ba) in
-  Alcotest.check tuples "toggle equal" on off;
-  Alcotest.check tuples "matches Cq" (Cq.answers q ba) on
-
 let test_guard_partial_is_sound () =
   let er = Theories.Instances.erdos_renyi Theories.Zoo.e2 ~seed:17 ~nodes:60
       ~edges:900 in
@@ -165,20 +149,45 @@ let test_guard_partial_is_sound () =
             (List.exists (fun t -> List.compare Term.compare t tuple = 0) full))
         partial)
 
+(* [E(x, v1), E(v1, v2), ..., E(v(n-1), vn)] with answer variable [x];
+   [~cycle:true] closes it with [vn = x]. *)
+let e_path ?(cycle = false) n =
+  let v i =
+    if i = 0 || (cycle && i = n) then x else Term.var (Printf.sprintf "v%d" i)
+  in
+  Cq.make ~free:[ x ]
+    (List.init n (fun i -> Atom.make Theories.Zoo.e2 [ v i; v (i + 1) ]))
+
 let test_containment_probe_via_hook () =
-  (* Containment runs through the registered probe when eval is linked
-     and enabled; verdicts must not depend on the toggle. *)
+  (* Containment runs through the registered probe when eval is linked:
+     the register machine below [Eval]'s leapfrog threshold (64 target
+     atoms), the leapfrog join at or above it. Both must agree with the
+     naive Chandra–Merlin check. *)
   let q1 =
     Cq.make ~free:[ x ]
       [ Atom.make Theories.Zoo.e2 [ x; y ]; Atom.make Theories.Zoo.e2 [ y; z ] ]
   in
   let q2 = Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.e2 [ x; y ] ] in
+  let check (a, b) =
+    Alcotest.(check bool) "implies = naive" (Naive.implies a b)
+      (Containment.implies a b)
+  in
+  List.iter check [ (q1, q2); (q2, q1); (q1, q1) ];
+  (* Targets of 65-70 atoms, true and false verdicts, each reaching the
+     leapfrog branch (a directed 66-cycle maps into a 65-cycle only if
+     65 divides 66). *)
+  let p70 = e_path 70 and p66 = e_path 66 in
+  let c65 = e_path ~cycle:true 65 and c66 = e_path ~cycle:true 66 in
+  let large = [ (p70, p66); (p66, p70); (c65, p70); (c65, c66) ] in
+  Alcotest.(check (list bool)) "large verdicts" [ true; false; true; false ]
+    (List.map (fun (a, b) -> Naive.implies a b) large);
   List.iter
-    (fun (a, b) ->
-      Alcotest.(check bool) "implies toggled"
-        (with_eval false (fun () -> Containment.implies a b))
-        (with_eval true (fun () -> Containment.implies a b)))
-    [ (q1, q2); (q2, q1); (q1, q1) ]
+    (fun pair ->
+      Eval.reset_counters ();
+      check pair;
+      Alcotest.(check bool) "leapfrog plan ran" true
+        ((Eval.counters ()).Eval.plans > 0))
+    large
 
 let test_counters_move () =
   Eval.reset_counters ();
@@ -226,8 +235,6 @@ let () =
             test_answers_match_reference;
           Alcotest.test_case "holds / boolean" `Quick test_holds_and_boolean;
           Alcotest.test_case "ucq union dedup" `Quick test_ucq_union_dedup;
-          Alcotest.test_case "set_eval toggle" `Quick
-            test_toggle_and_legacy_agree;
         ] );
       ( "guard",
         [

@@ -2,11 +2,17 @@
 
    Random single-head TGD theories, instances, and queries are drawn from
    int-encoded generators (plain tuples and lists, so QCheck's built-in
-   shrinkers minimize counterexamples), then three implementations are
-   played against each other:
+   shrinkers minimize counterexamples), then the engines are played
+   against naive references and against each other:
 
-   - a ~30-line naive reference chase (textbook fixpoint, no semi-naive
-     deltas, no provenance) against [Chase.Engine.run];
+   - the naive matcher of [Naive] (backtracking over atom lists, no
+     index, no [Homomorphism]) against the register machine, the
+     leapfrog plan layer and [Cq]'s evaluators;
+   - a ~30-line naive reference chase (textbook fixpoint over the naive
+     matcher, no semi-naive deltas, no provenance) against
+     [Chase.Engine.run], on random and zoo theories;
+   - a naive reference rewriting (a queue, a store minimized by the naive
+     Chandra–Merlin check) against the saturation kernel;
    - the sequential engines against their [lib/parallel] counterparts at
      several domain counts (stages must be bit-identical, rewritings
      UCQ-equivalent);
@@ -93,17 +99,21 @@ let query_arb = QCheck.(list_of_size Gen.(1 -- 2) atom_arb)
 (* The naive reference chase: a direct reading of Definition 6         *)
 (* ------------------------------------------------------------------ *)
 
-(* Every stage recomputes every trigger over the whole structure — no
-   deltas, no indexes to get wrong. Returns the stages (element i is
-   Ch_i) and whether a fixpoint was reached within [max_stages]. *)
+(* Every stage recomputes every trigger over the whole structure with
+   the naive matcher — no deltas, no indexes to get wrong. Returns the
+   stages (element i is Ch_i) and whether a fixpoint was reached within
+   [max_stages]. *)
 let naive_chase ~max_stages theory d =
   let rec go current n acc =
     if n = 0 then (List.rev acc, false)
     else begin
       let additions = ref [] in
+      let facts = Fact_set.atoms current in
       List.iter
         (fun rule ->
-          Tgd.triggers rule current (fun sigma ->
+          Naive.iter ~domain_vars:(Tgd.dom_vars rule)
+            ~flexible:(Term.Set.of_list (Tgd.body_vars rule))
+            (Tgd.body rule) facts (fun sigma ->
               List.iter
                 (fun a ->
                   if not (Fact_set.mem a current) then
@@ -217,90 +227,64 @@ let prop_parallel_rewriting_equivalent =
       | _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Arena vs boxed: the flat-store/compiled-join differentials          *)
+(* The matchers against the naive matcher                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [Fact_set.set_arena] is the process-wide A/B switch between the boxed
-   layers + backtracking homomorphism engine and the flat-arena layers +
-   compiled register-machine join. The two must be observationally
-   identical: bit-identical chase stages and provenance, equal
-   homomorphism verdicts, UCQ-equivalent rewritings — at every [-j] and
-   under fault injection. *)
-let with_arena on f =
-  let prev = Fact_set.arena_enabled () in
-  Fact_set.set_arena on;
-  Fun.protect ~finally:(fun () -> Fact_set.set_arena prev) f
+let sorted_mappings ms = List.sort (Term.Map.compare Term.compare) ms
 
-let prop_arena_chase_matches_boxed =
+let prop_hom_matches_naive =
   QCheck.Test.make ~count
-    ~name:"arena chase = boxed chase (stages, flags, provenance; j1, j4)"
-    QCheck.(pair theory_arb instance_arb)
-    (fun (trules, inst) ->
-      let theory = decode_theory trules in
-      let d = decode_instance inst in
-      let boxed =
-        with_arena false (fun () ->
-            Chase.Engine.run ~max_depth ~max_atoms theory d)
-      in
-      List.for_all
-        (fun pool ->
-          let ar =
-            with_arena true (fun () ->
-                Chase.Engine.run ?pool ~max_depth ~max_atoms theory d)
-          in
-          Chase.Engine.depth ar = Chase.Engine.depth boxed
-          && Chase.Engine.saturated ar = Chase.Engine.saturated boxed
-          && Chase.Engine.hit_atom_budget ar
-             = Chase.Engine.hit_atom_budget boxed
-          && List.for_all
-               (fun i ->
-                 Fact_set.equal (Chase.Engine.stage ar i)
-                   (Chase.Engine.stage boxed i))
-               (List.init (Chase.Engine.depth boxed + 1) Fun.id)
-          && List.for_all (same_derivations boxed ar)
-               (Fact_set.atoms (Chase.Engine.result boxed)))
-        [ None; Some pool4 ])
-
-let prop_arena_hom_matches_boxed =
-  QCheck.Test.make ~count
-    ~name:"Cq.boolean_holds: compiled join = boxed backtracking engine"
+    ~name:"Cq.boolean_holds: register machine = naive matcher"
     QCheck.(pair query_arb instance_arb)
     (fun (qatoms, inst) ->
       let q = decode_query qatoms in
       let d = decode_instance inst in
-      Bool.equal
-        (with_arena true (fun () -> Cq.boolean_holds q d))
-        (with_arena false (fun () -> Cq.boolean_holds q d)))
+      Bool.equal (Cq.boolean_holds q d)
+        (Naive.exists ~flexible:(Cq.var_set q) (Cq.atoms q) (Fact_set.atoms d)))
 
-let prop_arena_rewriting_equivalent =
+let prop_prefer_keeps_mappings =
+  (* [~prefer] reorders each search node's candidate facts; it must
+     neither drop nor duplicate a mapping. The rank is an arbitrary
+     hash-derived bucket, salted per case. On a one-atom pattern the
+     enumeration order is the candidate order, so the ranks of the
+     images must also come out non-decreasing. *)
   QCheck.Test.make ~count
-    ~name:"arena rewriting = boxed rewriting (UCQ-equivalent; j1, j4)"
-    QCheck.(pair theory_arb query_arb)
-    (fun (trules, qatoms) ->
-      let theory = decode_theory trules in
+    ~name:"Homomorphism.iter: ~prefer = no prefer = naive matcher (mapping sets)"
+    QCheck.(triple query_arb instance_arb small_nat)
+    (fun (qatoms, inst, salt) ->
       let q = decode_query qatoms in
-      let boxed =
-        with_arena false (fun () ->
-            Rewriting.Rewrite.rewrite ~budget:rewrite_budget theory q)
+      let d = decode_instance inst in
+      let flexible = Cq.var_set q in
+      let pattern = Cq.atoms q in
+      let rank a = (Atom.hash a lxor salt) land 3 in
+      let homs ?prefer () =
+        let acc = ref [] in
+        Homomorphism.iter
+          (Homomorphism.make ?prefer ~flexible ~pattern ~target:d ())
+          (fun m -> acc := m :: !acc);
+        List.rev !acc
       in
-      List.for_all
-        (fun pool ->
-          let ar =
-            with_arena true (fun () ->
-                Rewriting.Rewrite.rewrite ?pool ~budget:rewrite_budget
-                  theory q)
-          in
-          match
-            (boxed.Rewriting.Rewrite.outcome, ar.Rewriting.Rewrite.outcome)
-          with
-          | Rewriting.Rewrite.Complete, Rewriting.Rewrite.Complete ->
-              Ucq.equivalent boxed.Rewriting.Rewrite.ucq
-                ar.Rewriting.Rewrite.ucq
-          | _ -> true)
-        [ None; Some pool4 ])
+      let preferred = homs ~prefer:rank () in
+      let naive = Naive.all ~flexible pattern (Fact_set.atoms d) in
+      let eq = List.equal (Term.Map.equal Term.equal) in
+      let rec non_decreasing = function
+        | a :: (b :: _ as rest) -> a <= b && non_decreasing rest
+        | _ -> true
+      in
+      eq (sorted_mappings preferred) naive
+      && eq (sorted_mappings (homs ())) naive
+      &&
+      match pattern with
+      | [ a ] ->
+          non_decreasing
+            (List.map
+               (fun m -> rank (Homomorphism.apply m ~flexible a))
+               preferred)
+      | _ -> true)
 
 (* Zoo-seeded: every closed zoo theory chased on random instances drawn
-   from its own signature, arena against boxed, sequential and -j4. *)
+   from its own signature, against the naive reference chase,
+   sequential and -j4. *)
 let zoo_theories =
   Theories.Zoo.
     [
@@ -327,9 +311,9 @@ let decode_zoo_instance theory triples =
          Atom.make rel args)
        triples)
 
-let prop_arena_zoo_chase_matches_boxed =
+let prop_zoo_chase_matches_naive_reference =
   QCheck.Test.make ~count
-    ~name:"zoo theories: arena chase = boxed chase on random instances"
+    ~name:"zoo theories: chase = naive reference chase on random instances (j1, j4)"
     QCheck.(
       pair (int_bound 1000)
         (list_of_size Gen.(1 -- 6)
@@ -337,48 +321,54 @@ let prop_arena_zoo_chase_matches_boxed =
     (fun (pick, triples) ->
       let theory = List.nth zoo_theories (pick mod List.length zoo_theories) in
       let d = decode_zoo_instance theory triples in
-      let boxed =
-        with_arena false (fun () ->
-            Chase.Engine.run ~max_depth ~max_atoms theory d)
+      let stages, naive_saturated =
+        naive_chase ~max_stages:max_depth theory d
       in
       List.for_all
         (fun pool ->
-          let ar =
-            with_arena true (fun () ->
-                Chase.Engine.run ?pool ~max_depth ~max_atoms theory d)
-          in
-          Chase.Engine.depth ar = Chase.Engine.depth boxed
-          && List.for_all
-               (fun i ->
-                 Fact_set.equal (Chase.Engine.stage ar i)
-                   (Chase.Engine.stage boxed i))
-               (List.init (Chase.Engine.depth boxed + 1) Fun.id))
+          let run = Chase.Engine.run ?pool ~max_depth ~max_atoms theory d in
+          QCheck.assume (not (Chase.Engine.hit_atom_budget run));
+          List.length stages = Chase.Engine.depth run + 1
+          && Chase.Engine.saturated run = naive_saturated
+          && List.for_all2 Fact_set.equal stages
+               (List.init (Chase.Engine.depth run + 1) (Chase.Engine.stage run)))
         [ None; Some pool4 ])
 
 (* ------------------------------------------------------------------ *)
 (* The naive reference rewriting: a direct reading of Theorem 1        *)
 (* ------------------------------------------------------------------ *)
 
-(* One queue pop per step, [Ucq.add_minimal] as the store — no saturation
-   kernel, no canon-id dedup, no liveness probe, no budgets beyond the
-   pop count. Subsumed entries are expanded anyway (harmless: their
-   rewritings are covered too). Returns [None] when [max_steps] pops did
-   not drain the queue. *)
-let naive_rewrite ~max_steps theory q =
+(* One queue pop per step; the store is a plain list kept minimal by
+   [add_minimal] over the naive Chandra–Merlin check ([Naive.implies]) —
+   no saturation kernel, no [Containment], no canon-id dedup, no
+   liveness probe, no budgets beyond the pop count. Subsumed entries are expanded anyway (harmless:
+   their rewritings are covered too). Returns [None] when [max_steps]
+   pops did not drain the queue, or when a rewriting grew past
+   [max_atoms] — the kernel stops with [Size_budget] on the same
+   condition, and the piece-unifier step fans out exponentially in the
+   size of the query it rewrites. *)
+let naive_rewrite ~max_steps ~max_atoms theory q =
   let compiled, aux = Rewriting.Single_head.compile theory in
   let queue = Queue.create () in
-  let store = ref Ucq.empty in
-  let push q' =
-    let u, verdict = Ucq.add_minimal !store q' in
-    store := u;
-    if verdict = `Added then Queue.add q' queue
+  let store = ref [] in
+  (* Keep [q'] unless a stored disjunct covers it; drop those it covers. *)
+  let add_minimal q' =
+    if List.exists (fun d -> Naive.implies q' d) !store then false
+    else begin
+      store := q' :: List.filter (fun d -> not (Naive.implies d q')) !store;
+      true
+    end
   in
-  push (Containment.core_of_query q);
+  let exception Out_of_budget in
+  let push q' =
+    if Cq.size q' > max_atoms then raise Out_of_budget;
+    if add_minimal q' then Queue.add q' queue
+  in
   let steps = ref 0 in
-  let exception Out_of_steps in
   match
+    push (Naive.core q);
     while not (Queue.is_empty queue) do
-      if !steps >= max_steps then raise Out_of_steps;
+      if !steps >= max_steps then raise Out_of_budget;
       incr steps;
       let cur = Queue.pop queue in
       List.iter push (Rewriting.Piece_unifier.one_step_theory cur compiled)
@@ -386,11 +376,11 @@ let naive_rewrite ~max_steps theory q =
   with
   | () ->
       Some
-        (Ucq.of_list
+        (Ucq.of_disjuncts_unchecked
            (List.filter
               (fun d -> not (Rewriting.Single_head.mentions_aux aux d))
-              (Ucq.disjuncts !store)))
-  | exception Out_of_steps -> None
+              (List.rev !store)))
+  | exception Out_of_budget -> None
 
 let prop_kernel_rewriting_matches_naive_reference =
   (* The kernel-based saturation (both the size-1 pool's one-pop rounds
@@ -402,7 +392,11 @@ let prop_kernel_rewriting_matches_naive_reference =
     (fun (trules, qatoms) ->
       let theory = decode_theory trules in
       let q = decode_query qatoms in
-      match naive_rewrite ~max_steps:150 theory q with
+      match
+        naive_rewrite ~max_steps:150
+          ~max_atoms:rewrite_budget.Rewriting.Rewrite.max_atoms_per_disjunct
+          theory q
+      with
       | None -> true
       | Some reference ->
           List.for_all
@@ -620,15 +614,8 @@ let prop_portfolio_agrees_on_zoo_instances =
            via_chase)
 
 (* ------------------------------------------------------------------ *)
-(* Eval: the plan layer against the boxed reference                    *)
+(* Eval: the plan layer against the naive matcher                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Same shape as [with_arena]: flip the plan-layer A/B switch for the
-   duration of [f], restoring the previous setting on the way out. *)
-let with_eval on f =
-  let prev = Eval.eval_enabled () in
-  Eval.set_eval on;
-  Fun.protect ~finally:(fun () -> Eval.set_eval prev) f
 
 (* Open queries: the second coordinate picks how many of the variables
    actually used become answer variables (0 = boolean). *)
@@ -662,29 +649,37 @@ let eval_seed_instances =
 let equal_tuple_lists a b =
   List.compare (List.compare Term.compare) a b = 0
 
-let prop_eval_answers_match_boxed =
-  (* The core differential: Eval.run through a leapfrog plan, the same
-     plan forced onto the legacy boxed enumeration, and Cq.answers must
-     produce identical tuple lists — on random instances and on the
-     pinned generator seeds. *)
+(* The distinct answer tuples of [q] over [d], by the naive matcher,
+   sorted as [Cq.answers] sorts them. *)
+let naive_answers q d =
+  List.sort_uniq (List.compare Term.compare)
+    (List.map
+       (fun m -> List.map (fun v -> Term.Map.find v m) (Cq.free q))
+       (Naive.all ~flexible:(Cq.var_set q) (Cq.atoms q) (Fact_set.atoms d)))
+
+let prop_eval_answers_match_naive =
+  (* The core differential: Eval.answers through a leapfrog plan, the
+     naive matcher and Cq.answers (the register machine) must produce
+     identical tuple lists — on random instances and on the pinned
+     generator seeds. *)
   QCheck.Test.make ~count
-    ~name:"Eval.answers: leapfrog = boxed enumeration = Cq.answers"
+    ~name:"Eval.answers: leapfrog = naive matcher = Cq.answers"
     QCheck.(pair open_query_arb instance_arb)
     (fun (qenc, inst) ->
       let q = decode_open_query qenc in
       List.for_all
         (fun d ->
-          let on = with_eval true (fun () -> Eval.answers q d) in
-          let off = with_eval false (fun () -> Eval.answers q d) in
-          equal_tuple_lists on off && equal_tuple_lists on (Cq.answers q d))
+          let lf = Eval.answers q d in
+          equal_tuple_lists lf (naive_answers q d)
+          && equal_tuple_lists lf (Cq.answers q d))
         (decode_instance inst :: eval_seed_instances))
 
-let prop_eval_ucq_matches_boxed =
-  (* Union evaluation with cross-disjunct dedup against the boxed path.
+let prop_eval_ucq_matches_naive =
+  (* Union evaluation with cross-disjunct dedup against the naive union.
      Every disjunct is anchored on E(x0, x1) so the free slot is shared
      and the disjuncts genuinely overlap. *)
   QCheck.Test.make ~count
-    ~name:"Eval.ucq_answers: plan union = boxed union"
+    ~name:"Eval.ucq_answers: plan union = naive matcher union"
     QCheck.(triple query_arb query_arb instance_arb)
     (fun (a1, a2, inst) ->
       let disjunct atoms =
@@ -695,9 +690,9 @@ let prop_eval_ucq_matches_boxed =
       let u = Ucq.of_disjuncts_unchecked [ disjunct a1; disjunct a2 ] in
       List.for_all
         (fun d ->
-          equal_tuple_lists
-            (with_eval true (fun () -> Eval.ucq_answers u d))
-            (with_eval false (fun () -> Eval.ucq_answers u d)))
+          equal_tuple_lists (Eval.ucq_answers u d)
+            (List.sort_uniq (List.compare Term.compare)
+               (List.concat_map (fun q -> naive_answers q d) (Ucq.disjuncts u))))
         (decode_instance inst :: eval_seed_instances))
 
 let prop_eval_zoo_certain_answers_agree =
@@ -849,38 +844,6 @@ let prop_faulty_rewriting_is_sound =
             [ Parallel.Pool.sequential; pool3; pool4 ]
       | _ -> true)
 
-let prop_arena_faulty_chase_is_prefix =
-  (* The cross-mode fault differential: a fault-injected arena-mode
-     chase must be a stage-exact prefix of the fault-free *boxed* chase
-     — the two engines stay interchangeable even while the schedule is
-     killing workers and tripping guards. *)
-  QCheck.Test.make ~count
-    ~name:"fault-injected arena chase = prefix of fault-free boxed chase"
-    QCheck.(triple small_nat theory_arb instance_arb)
-    (fun (seed, trules, inst) ->
-      let theory = decode_theory trules and d = decode_instance inst in
-      let reference =
-        with_arena false (fun () ->
-            Chase.Engine.run ~max_depth ~max_atoms theory d)
-      in
-      List.for_all
-        (fun pool ->
-          let run =
-            with_faults (1 + seed) (fun () ->
-                with_arena true (fun () ->
-                    let guard = Guard.create () in
-                    Chase.Engine.run ~pool ~guard ~max_depth ~max_atoms
-                      theory d))
-          in
-          let dr = Chase.Engine.depth run in
-          dr <= Chase.Engine.depth reference
-          && List.for_all
-               (fun i ->
-                 Fact_set.equal (Chase.Engine.stage run i)
-                   (Chase.Engine.stage reference i))
-               (List.init (dr + 1) Fun.id))
-        [ Parallel.Pool.sequential; pool2; pool4 ])
-
 let prop_pool_absorbs_injected_faults =
   (* Injected task exceptions recover through the coordinator's retry
      pass; worker deaths recover through orphan redistribution. Under any
@@ -1012,19 +975,18 @@ let () =
             prop_portfolio_agrees_with_chase;
             prop_portfolio_agrees_on_zoo_instances;
           ] );
-      ( "arena",
+      ( "matcher",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_arena_chase_matches_boxed;
-            prop_arena_hom_matches_boxed;
-            prop_arena_rewriting_equivalent;
-            prop_arena_zoo_chase_matches_boxed;
+            prop_hom_matches_naive;
+            prop_prefer_keeps_mappings;
+            prop_zoo_chase_matches_naive_reference;
           ] );
       ( "eval",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_eval_answers_match_boxed;
-            prop_eval_ucq_matches_boxed;
+            prop_eval_answers_match_naive;
+            prop_eval_ucq_matches_naive;
             prop_eval_zoo_certain_answers_agree;
           ] );
       ( "pool",
@@ -1033,7 +995,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_faulty_chase_is_prefix;
-            prop_arena_faulty_chase_is_prefix;
             prop_faulty_rewriting_is_sound;
             prop_pool_absorbs_injected_faults;
             prop_pool_aggregates_real_errors;
