@@ -254,89 +254,121 @@ end
 (* Prepared instances: sorted column views                             *)
 (* ------------------------------------------------------------------ *)
 
-module Prepared = struct
-  type rel_rows = { nrows : int; ids : int array (* row-major *) }
+(* The rows of the row-major matrix [data] ([width] ids per row) in
+   lexicographic order along the columns [cols], as a new row-major
+   matrix holding just those columns, in that order. *)
+let sort_rows data ~width cols =
+  let n = if width = 0 then 0 else Array.length data / width in
+  let nk = Array.length cols in
+  let ord = Array.init n Fun.id in
+  (* a loop, not a recursive closure: the comparator must not allocate *)
+  Array.stable_sort
+    (fun a b ->
+      let c = ref 0 and k = ref 0 in
+      while !c = 0 && !k < nk do
+        c :=
+          Int.compare
+            data.((a * width) + cols.(!k))
+            data.((b * width) + cols.(!k));
+        incr k
+      done;
+      !c)
+    ord;
+  let out = Array.make (n * nk) 0 in
+  Array.iteri
+    (fun r row ->
+      for k = 0 to nk - 1 do
+        out.((r * nk) + k) <- data.((row * width) + cols.(k))
+      done)
+    ord;
+  out
 
+module Prepared = struct
   type t = {
     fs : Fact_set.t;
     lock : Mutex.t;
         (* serializes the lazy builds below, so one view can be shared
            across pool workers; the finished arrays are read-only *)
-    rows : (int, rel_rows) Hashtbl.t;  (* Symbol.id -> matrix *)
-    orders : (string, int array) Hashtbl.t;
-        (* (Symbol.id, kpos) -> row permutation sorted along kpos *)
+    rows : (int, int array) Hashtbl.t Lazy.t;
+        (* Symbol.id -> row-major argument ids, rows in [Atom.compare]
+           order; built for every relation at once, forced under [lock] *)
+    views : (string, int array) Hashtbl.t;
+        (* (Symbol.id, kpos) -> the rows sorted along kpos, columns
+           permuted into key order *)
   }
+
+  (* One pass over the atom set. [Atom.compare] orders atoms by relation,
+     then by argument id, so each relation is one contiguous run and its
+     rows arrive sorted lexicographically: the identity key order needs
+     no sort. A nullary fact is one row holding a dummy 0. *)
+  let build_rows fs =
+    let tbl = Hashtbl.create 16 in
+    let buf = ref (Array.make 1024 0) and n = ref 0 in
+    let push id =
+      if !n = Array.length !buf then begin
+        let bigger = Array.make (2 * !n) 0 in
+        Array.blit !buf 0 bigger 0 !n;
+        buf := bigger
+      end;
+      !buf.(!n) <- id;
+      incr n
+    in
+    let current = ref (-1) in
+    let flush () =
+      if !current >= 0 then
+        Hashtbl.replace tbl !current (Array.sub !buf 0 !n);
+      n := 0
+    in
+    Atom.Set.iter
+      (fun a ->
+        let rel = Symbol.id (Atom.rel a) in
+        if rel <> !current then begin
+          flush ();
+          current := rel
+        end;
+        let arity = Atom.arity a in
+        if arity = 0 then push 0
+        else
+          for p = 0 to arity - 1 do
+            push (Atom.arg a p).Term.id
+          done)
+      (Fact_set.to_set fs);
+    flush ();
+    tbl
 
   let make fs =
     {
       fs;
       lock = Mutex.create ();
-      rows = Hashtbl.create 16;
-      orders = Hashtbl.create 16;
+      rows = lazy (build_rows fs);
+      views = Hashtbl.create 16;
     }
 
   let fact_set t = t.fs
 
-  let rel_rows_unlocked t rel arity =
-    let key = Symbol.id rel in
-    match Hashtbl.find_opt t.rows key with
-    | Some r -> r
-    | None ->
-        let buf = ref (Array.make 1024 0) in
-        let n = ref 0 in
-        let push id =
-          if !n = Array.length !buf then begin
-            let bigger = Array.make (2 * !n) 0 in
-            Array.blit !buf 0 bigger 0 !n;
-            buf := bigger
-          end;
-          !buf.(!n) <- id;
-          incr n
-        in
-        Fact_set.iter_join_candidates t.fs rel ~bound_pos:[||] ~bound_ids:[||]
-          ~nb:0 (fun _atoms ids row ->
-            if arity = 0 then push 0
-            else
-              for p = 0 to arity - 1 do
-                push ids.((row * arity) + p)
-              done);
-        let width = max arity 1 in
-        let r = { nrows = !n / width; ids = Array.sub !buf 0 !n } in
-        Hashtbl.replace t.rows key r;
-        r
-
-  let rel_rows t rel arity =
-    Mutex.protect t.lock (fun () -> rel_rows_unlocked t rel arity)
-
-  let order t rel arity kpos =
+  (* The rows of [rel], sorted lexicographically along [kpos] and stored
+     row-major with their columns in key order ([width] = max arity 1
+     ids per row). *)
+  let view t rel arity kpos =
     let key =
       String.concat ","
         (string_of_int (Symbol.id rel)
         :: Array.to_list (Array.map string_of_int kpos))
     in
     Mutex.protect t.lock @@ fun () ->
-    match Hashtbl.find_opt t.orders key with
-    | Some o -> o
+    match Hashtbl.find_opt t.views key with
+    | Some v -> v
     | None ->
-        let { nrows; ids } = rel_rows_unlocked t rel arity in
-        let ord = Array.init nrows Fun.id in
-        let nk = Array.length kpos in
-        Array.sort
-          (fun a b ->
-            let rec go k =
-              if k = nk then Int.compare a b
-              else
-                let c =
-                  Int.compare
-                    ids.((a * arity) + kpos.(k))
-                    ids.((b * arity) + kpos.(k))
-                in
-                if c <> 0 then c else go (k + 1)
-            in
-            go 0)
-          ord;
-        Hashtbl.replace t.orders key ord;
-        ord
+        let ids =
+          Option.value ~default:[||]
+            (Hashtbl.find_opt (Lazy.force t.rows) (Symbol.id rel))
+        in
+        let v =
+          if Array.for_all2 ( = ) kpos (Array.init arity Fun.id) then ids
+          else sort_rows ids ~width:(max arity 1) kpos
+        in
+        Hashtbl.replace t.views key v;
+        v
 end
 
 (* Prepared views are cached per fact set (physical identity, a small
@@ -375,29 +407,22 @@ let prepared_for fs =
 (* ------------------------------------------------------------------ *)
 
 exception Trip
-exception Limit
+exception Found
 
 type cursor = {
-  c_ids : int array;
-  c_arity : int;
-  c_ord : int array;
-  c_kpos : int array;
+  c_rows : int array;  (* a view: sorted rows, columns in key order *)
+  c_width : int;
   c_klev : int array;
   c_kid : int array;
   c_nk : int;
   mutable lo : int;
-  mutable hi : int;  (* current frontier: rows c_ord.(lo..hi-1) *)
+  mutable hi : int;  (* current frontier: rows lo..hi-1 *)
   mutable depth : int;  (* key columns consumed by outer levels *)
 }
 
-type rt = {
-  guard : Guard.t option;
-  mutable steps : int;
-  mutable gallops : int;
-  mutable emitted : int;
-}
+type rt = { guard : Guard.t option; mutable steps : int; mutable gallops : int }
 
-let cval cur k r = cur.c_ids.((cur.c_ord.(r) * cur.c_arity) + cur.c_kpos.(k))
+let cval cur k r = cur.c_rows.((r * cur.c_width) + k)
 
 (* First index in [cur.lo, cur.hi) whose column-[k] value is >= x:
    exponential probe from the left edge, then binary search inside the
@@ -441,175 +466,259 @@ let narrow_rigid rt cur =
   done;
   !ok && cur.lo < cur.hi
 
-(* Leapfrog one level: intersect the participating atoms' frontiers on
-   their current key column, and for each common value [x] narrow every
-   participant through all its columns at this level (a variable
-   repeated inside an atom adds extra columns) before running [k].
-   [k] returning true stops the enumeration (the existential suffix
-   needs one witness); the caller's frontiers are restored either way. *)
-let join_level rt cursors parts lev vals k =
-  let ps : int array = parts.(lev) in
-  let np = Array.length ps in
-  let save_lo = Array.map (fun i -> cursors.(i).lo) ps in
-  let save_hi = Array.map (fun i -> cursors.(i).hi) ps in
-  let save_depth = Array.map (fun i -> cursors.(i).depth) ps in
-  let stop = ref false in
-  let exhausted = ref false in
-  Array.iter
-    (fun i -> if cursors.(i).lo >= cursors.(i).hi then exhausted := true)
-    ps;
-  while (not !stop) && not !exhausted do
-    (* find the next common value across the np frontiers *)
-    let c0 = cursors.(ps.(0)) in
-    if c0.lo >= c0.hi then exhausted := true
-    else begin
-      let x = ref (cval c0 c0.depth c0.lo) in
-      let matched = ref 1 and idx = ref (1 mod np) in
-      while !matched < np && not !exhausted do
-        let cur = cursors.(ps.(!idx)) in
-        let r = seek rt cur cur.depth !x in
-        cur.lo <- r;
-        if r >= cur.hi then exhausted := true
-        else begin
-          let v = cval cur cur.depth r in
-          if v = !x then incr matched
-          else begin
-            x := v;
-            matched := 1
-          end
-        end;
-        idx := (!idx + 1) mod np
-      done;
-      if not !exhausted then begin
-        let x = !x in
-        (* narrow every participant through its columns at this level *)
-        let ok = ref true in
-        let i = ref 0 in
-        while !ok && !i < np do
-          let cur = cursors.(ps.(!i)) in
-          while
-            !ok
-            && cur.depth < cur.c_nk
-            && cur.c_klev.(cur.depth) = lev
-          do
-            let l = seek rt cur cur.depth x in
-            cur.lo <- l;
-            if l < cur.hi && cval cur cur.depth l = x then begin
-              cur.hi <- seek rt cur cur.depth (x + 1);
-              cur.depth <- cur.depth + 1
-            end
-            else ok := false
-          done;
-          incr i
-        done;
-        if !ok then begin
-          vals.(lev) <- x;
-          if k () then stop := true
-        end;
-        (* rewind the level's narrowing and advance past x *)
-        Array.iteri
-          (fun j i ->
-            let cur = cursors.(i) in
-            cur.depth <- save_depth.(j);
-            cur.hi <- save_hi.(j);
-            if not !stop then cur.lo <- seek rt cur cur.depth (x + 1))
-          ps
-      end
-    end
-  done;
-  Array.iteri
-    (fun j i ->
-      let cur = cursors.(i) in
-      cur.lo <- save_lo.(j);
-      cur.hi <- save_hi.(j);
-      cur.depth <- save_depth.(j))
-    ps;
-  !stop
-
-(* Run a compiled plan: enumerate the full join in elimination order and
-   project each row onto the answer slots, deduplicating as rows arrive
-   (the elimination order is chosen for join locality, not for emission
-   grouping, so the same projection can recur). [limit] stops the
-   enumeration after that many distinct tuples — existence checks pass 1
-   and stop at the first join row. One fuel unit is drawn per distinct
-   tuple; the seek counter polls the guard for deadline/cancellation.
-   Tuples are sorted at the end — the same sorted-distinct contract as
-   [Cq.answers]. *)
-let run_compiled ?guard ?limit c prepared =
-  Atomic.incr c_plans;
-  let rt = { guard; steps = 0; gallops = 0; emitted = 0 } in
-  let acc = ref [] in
-  let finish tripped =
-    Atomic.set c_seeks (Atomic.get c_seeks + rt.steps);
-    Atomic.set c_gallops (Atomic.get c_gallops + rt.gallops);
-    Atomic.set c_emitted (Atomic.get c_emitted + rt.emitted);
-    (List.sort_uniq tuple_compare !acc, tripped)
+(* Enumerate the join of [c] in elimination order, calling [emit] with
+   [vals] (level -> term id) filled in for every completed row. Level
+   [lev] intersects the participating atoms' frontiers on their current
+   key column, and for each common value [x] narrows every participant
+   through all its columns at this level (a variable repeated inside an
+   atom adds extra columns) before descending. Levels past the last
+   answer variable are purely existential: one witness settles them, so
+   such a level stops at the first value whose subtree completed a row.
+   Each level saves its participants' frontiers into its own scratch
+   array, allocated once per run: the recursion allocates nothing. *)
+let enumerate rt c cursors vals emit =
+  let suffix_start =
+    Array.fold_left (fun m lev -> max m (lev + 1)) 0 c.out_levels
   in
-  try
-    let cursors =
-      Array.map
-        (fun pa ->
-          let rows = Prepared.rel_rows prepared pa.rel pa.arity in
-          let ord = Prepared.order prepared pa.rel pa.arity pa.kpos in
-          {
-            c_ids = rows.Prepared.ids;
-            c_arity = max pa.arity 1;
-            c_ord = ord;
-            c_kpos = pa.kpos;
-            c_klev = pa.klev;
-            c_kid = pa.kid;
-            c_nk = Array.length pa.kpos;
-            lo = 0;
-            hi = Array.length ord;
-            depth = 0;
-          })
-        c.patoms
-    in
-    if not (Array.for_all (fun cur -> narrow_rigid rt cur) cursors) then
-      finish false
-    else begin
-      let vals = Array.make (max 1 c.nvars) 0 in
-      let seen : (int list, unit) Hashtbl.t = Hashtbl.create 64 in
-      let emit () =
-        let key =
-          Array.to_list (Array.map (fun lev -> vals.(lev)) c.out_levels)
-        in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
-          rt.emitted <- rt.emitted + 1;
-          (match guard with
-          | Some g -> ignore (Guard.spend g 1)
-          | None -> ());
-          acc := List.map Term.of_id key :: !acc;
-          match limit with
-          | Some l when rt.emitted >= l -> raise Limit
-          | _ -> ()
-        end
-      in
-      (* Levels past the last answer variable are purely existential:
-         one witness settles them, so the join at those levels stops at
-         its first completed row instead of enumerating them all. *)
-      let suffix_start =
-        Array.fold_left (fun m lev -> max m (lev + 1)) 0 c.out_levels
-      in
-      (* [go lev] returns whether its subtree completed at least one
-         row; a level inside the suffix stops iterating its values as
-         soon as one of them completed a row. *)
-      let rec go lev =
-        if lev >= c.nvars then begin
-          emit ();
-          true
-        end
-        else
-          join_level rt cursors c.parts lev vals (fun () ->
-              go (lev + 1) && lev >= suffix_start)
-      in
-      ignore (go 0);
-      finish false
+  let saves =
+    Array.map (fun ps -> Array.make (3 * Array.length ps) 0) c.parts
+  in
+  (* [level lev] returns whether a suffix level stopped at a witness. *)
+  let rec level lev =
+    if lev >= c.nvars then begin
+      emit vals;
+      true
     end
-  with
-  | Trip -> finish true
-  | Limit -> finish false
+    else begin
+      let ps = c.parts.(lev) in
+      let np = Array.length ps in
+      let save = saves.(lev) in
+      let exhausted = ref false in
+      for j = 0 to np - 1 do
+        let cur = cursors.(ps.(j)) in
+        save.(3 * j) <- cur.lo;
+        save.((3 * j) + 1) <- cur.hi;
+        save.((3 * j) + 2) <- cur.depth;
+        if cur.lo >= cur.hi then exhausted := true
+      done;
+      let stop = ref false in
+      while (not !stop) && not !exhausted do
+        (* find the next common value across the np frontiers *)
+        let c0 = cursors.(ps.(0)) in
+        let x = ref (cval c0 c0.depth c0.lo) in
+        let matched = ref 1 and idx = ref (1 mod np) in
+        while !matched < np && not !exhausted do
+          let cur = cursors.(ps.(!idx)) in
+          let r = seek rt cur cur.depth !x in
+          cur.lo <- r;
+          if r >= cur.hi then exhausted := true
+          else begin
+            let v = cval cur cur.depth r in
+            if v = !x then incr matched
+            else begin
+              x := v;
+              matched := 1
+            end
+          end;
+          idx := (!idx + 1) mod np
+        done;
+        if not !exhausted then begin
+          let x = !x in
+          (* narrow every participant through its columns at this level *)
+          let ok = ref true in
+          let i = ref 0 in
+          while !ok && !i < np do
+            let cur = cursors.(ps.(!i)) in
+            while
+              !ok && cur.depth < cur.c_nk && cur.c_klev.(cur.depth) = lev
+            do
+              let l = seek rt cur cur.depth x in
+              cur.lo <- l;
+              if l < cur.hi && cval cur cur.depth l = x then begin
+                cur.hi <- seek rt cur cur.depth (x + 1);
+                cur.depth <- cur.depth + 1
+              end
+              else ok := false
+            done;
+            incr i
+          done;
+          if !ok then begin
+            vals.(lev) <- x;
+            if level (lev + 1) && lev >= suffix_start then stop := true
+          end;
+          (* rewind the level's narrowing and advance past x *)
+          for j = 0 to np - 1 do
+            let cur = cursors.(ps.(j)) in
+            cur.depth <- save.((3 * j) + 2);
+            cur.hi <- save.((3 * j) + 1);
+            if not !stop then begin
+              cur.lo <- seek rt cur cur.depth (x + 1);
+              if cur.lo >= cur.hi then exhausted := true
+            end
+          done
+        end
+      done;
+      for j = 0 to np - 1 do
+        let cur = cursors.(ps.(j)) in
+        cur.lo <- save.(3 * j);
+        cur.hi <- save.((3 * j) + 1);
+        cur.depth <- save.((3 * j) + 2)
+      done;
+      !stop
+    end
+  in
+  ignore (level 0)
+
+(* Open the plan's cursors on [prepared]; [None] when some atom has no
+   row matching its rigid key prefix, so the join is empty. *)
+let open_cursors rt c prepared =
+  let cursors =
+    Array.map
+      (fun pa ->
+        let rows = Prepared.view prepared pa.rel pa.arity pa.kpos in
+        let width = max pa.arity 1 in
+        {
+          c_rows = rows;
+          c_width = width;
+          c_klev = pa.klev;
+          c_kid = pa.kid;
+          c_nk = Array.length pa.kpos;
+          lo = 0;
+          hi = Array.length rows / width;
+          depth = 0;
+        })
+      c.patoms
+  in
+  if Array.for_all (narrow_rigid rt) cursors then Some cursors else None
+
+(* Run the join of [c] on [prepared], calling [emit] per completed row.
+   A guard trip ends the enumeration early; any other exception [emit]
+   raises propagates, after the run's counts are added up either way. *)
+let join ?guard c prepared emit =
+  Atomic.incr c_plans;
+  let rt = { guard; steps = 0; gallops = 0 } in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Atomic.fetch_and_add c_seeks rt.steps);
+      ignore (Atomic.fetch_and_add c_gallops rt.gallops))
+    (fun () ->
+      try
+        match open_cursors rt c prepared with
+        | None -> ()
+        | Some cursors -> enumerate rt c cursors (Array.make c.nvars 0) emit
+      with Trip -> ())
+
+(* ------------------------------------------------------------------ *)
+(* Emission: a flat, deduplicating row buffer                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Distinct answer rows, [width] term ids each, stored row-major in one
+   growable int array and deduplicated on arrival through an
+   open-addressing table of row numbers — no list and no boxed key per
+   tuple. *)
+module Rowset = struct
+  type t = {
+    width : int;
+    mutable data : int array;  (* rows 0..n-1, then scratch *)
+    mutable n : int;  (* rows *)
+    mutable slots : int array;  (* row number + 1; 0 = empty *)
+  }
+
+  let create width =
+    {
+      width;
+      data = Array.make (64 * width) 0;
+      n = 0;
+      slots = Array.make 64 0;
+    }
+
+  (* The slot of [slots] holding a row equal to the one at [base] in
+     [t.data], or the empty slot where that row belongs. *)
+  let slot t slots base =
+    let w = t.width and data = t.data and mask = Array.length slots - 1 in
+    let h = ref 0 in
+    for k = 0 to w - 1 do
+      h := (!h * 0x2f0b3c65) + data.(base + k)
+    done;
+    let i = ref ((!h lxor (!h lsr 29)) land mask) and found = ref false in
+    while (not !found) && slots.(!i) <> 0 do
+      let other = (slots.(!i) - 1) * w in
+      let k = ref 0 in
+      while !k < w && data.(other + !k) = data.(base + !k) do
+        incr k
+      done;
+      if !k = w then found := true else i := (!i + 1) land mask
+    done;
+    !i
+
+  (* Add the row [vals.(pos.(0)), ..., vals.(pos.(width - 1))]; false
+     when it is already present. The row is written to the scratch space
+     past the last row first and kept only if it is new. *)
+  let add t vals pos =
+    let w = t.width in
+    if (t.n + 1) * w > Array.length t.data then begin
+      let bigger = Array.make (2 * Array.length t.data) 0 in
+      Array.blit t.data 0 bigger 0 (t.n * w);
+      t.data <- bigger
+    end;
+    let base = t.n * w in
+    for k = 0 to w - 1 do
+      t.data.(base + k) <- vals.(pos.(k))
+    done;
+    let i = slot t t.slots base in
+    if t.slots.(i) <> 0 then false
+    else begin
+      t.n <- t.n + 1;
+      t.slots.(i) <- t.n;
+      if 2 * t.n > Array.length t.slots then begin
+        let slots = Array.make (2 * Array.length t.slots) 0 in
+        for r = 0 to t.n - 1 do
+          slots.(slot t slots (r * w)) <- r + 1
+        done;
+        t.slots <- slots
+      end;
+      true
+    end
+
+  (* The rows as term tuples, in [tuple_compare] order. *)
+  let to_tuples t =
+    let w = t.width in
+    let rows =
+      sort_rows (Array.sub t.data 0 (t.n * w)) ~width:w (Array.init w Fun.id)
+    in
+    let acc = ref [] in
+    for i = t.n - 1 downto 0 do
+      let tuple = ref [] in
+      for k = w - 1 downto 0 do
+        tuple := Term.of_id rows.((i * w) + k) :: !tuple
+      done;
+      acc := !tuple :: !acc
+    done;
+    !acc
+end
+
+(* Run a compiled plan: enumerate the full join and project each row onto
+   the answer slots, deduplicating as rows arrive (the elimination order
+   is chosen for join locality, not for emission grouping, so the same
+   projection can recur). One fuel unit is drawn per distinct tuple; the
+   seek counter polls the guard for deadline/cancellation, and a trip
+   flushes the rows found so far. Tuples come back sorted and distinct —
+   the same contract as [Cq.answers]. *)
+let run_compiled ?guard c prepared =
+  let rows = Rowset.create c.nfree in
+  join ?guard c prepared (fun vals ->
+      if Rowset.add rows vals c.out_levels then
+        match guard with Some g -> ignore (Guard.spend g 1) | None -> ());
+  ignore (Atomic.fetch_and_add c_emitted rows.Rowset.n);
+  Rowset.to_tuples rows
+
+(* Existence: the join stops at its first row and buffers nothing. *)
+let exists_compiled c prepared =
+  match join c prepared (fun _ -> raise Found) with
+  | () -> false
+  | exception Found ->
+      Atomic.incr c_emitted;
+      true
 
 (* ------------------------------------------------------------------ *)
 (* Legacy execution: the register machine, for uncompilable plans     *)
@@ -622,7 +731,6 @@ let legacy_problem p target =
 let run_legacy ?guard p prepared =
   let seen = ref 0 in
   let acc = ref [] in
-  let tripped = ref false in
   (try
      Homomorphism.iter (legacy_problem p (Prepared.fact_set prepared))
        (fun m ->
@@ -633,12 +741,12 @@ let run_legacy ?guard p prepared =
              then raise Trip
          | None -> ());
          acc := List.map (fun v -> Term.Map.find v m) p.p_out :: !acc)
-   with Trip -> tripped := true);
-  (List.sort_uniq tuple_compare !acc, !tripped)
+   with Trip -> ());
+  List.sort_uniq tuple_compare !acc
 
-let run_plan ?guard ?limit p prepared =
+let run_plan ?guard p prepared =
   match p.p_compiled with
-  | Some c -> run_compiled ?guard ?limit c prepared
+  | Some c -> run_compiled ?guard c prepared
   | None -> run_legacy ?guard p prepared
 
 let outcome_of ?guard tuples =
@@ -646,19 +754,15 @@ let outcome_of ?guard tuples =
   | Some g -> Guard.outcome g ~complete:tuples ~partial:tuples
   | None -> Guard.Complete tuples
 
-let run ?guard p prepared =
-  let tuples, _ = run_plan ?guard p prepared in
-  outcome_of ?guard tuples
+let run ?guard p prepared = outcome_of ?guard (run_plan ?guard p prepared)
 
-(* Boolean existence: an empty answer prefix and a tuple limit of one,
-   so the join stops at the first witness. The legacy arm uses the
-   engine's own early-exit [exists]. *)
+(* Boolean existence: an empty answer prefix, and the join stops at the
+   first witness. The legacy arm uses the engine's own early-exit
+   [exists]. *)
 let exists_pieces ~init ~flexible atoms prepared =
   let p = compile_pieces ~init ~flexible ~free:[] atoms in
   match p.p_compiled with
-  | Some c ->
-      let tuples, _ = run_compiled ~limit:1 c prepared in
-      tuples <> []
+  | Some c -> exists_compiled c prepared
   | None -> Homomorphism.exists (legacy_problem p (Prepared.fact_set prepared))
 
 (* ------------------------------------------------------------------ *)
@@ -688,23 +792,39 @@ let boolean_holds q f =
   exists_pieces ~init:Term.Map.empty ~flexible:(Cq.var_set q) (Cq.atoms q)
     (prepared_for f)
 
+(* The sorted-distinct union of two sorted-distinct tuple lists. *)
+let union_sorted a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | x :: a', y :: b' ->
+        let c = tuple_compare x y in
+        if c < 0 then go (x :: acc) a' b
+        else if c > 0 then go (y :: acc) a b'
+        else go (x :: acc) a' b'
+  in
+  go [] a b
+
+(* Merge k sorted-distinct lists pairwise, in log k rounds. *)
+let rec union_all = function
+  | [] -> []
+  | [ l ] -> l
+  | ls ->
+      let rec pairs = function
+        | a :: b :: rest -> union_sorted a b :: pairs rest
+        | rest -> rest
+      in
+      union_all (pairs ls)
+
+(* Every plan returns its tuples sorted and distinct, so a one-disjunct
+   union is that plan's output and a larger one is a k-way merge. *)
 let ucq_answers_outcome ?guard u f =
   let prepared = prepared_for f in
-  let seen : (int list, unit) Hashtbl.t = Hashtbl.create 256 in
-  let acc = ref [] in
-  List.iter
-    (fun d ->
-      let tuples, _ = run_plan ?guard (Plan.compile d) prepared in
-      List.iter
-        (fun tuple ->
-          let key = List.map (fun (t : Term.t) -> t.Term.id) tuple in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            acc := tuple :: !acc
-          end)
-        tuples)
-    (Ucq.disjuncts u);
-  outcome_of ?guard (List.sort tuple_compare !acc)
+  outcome_of ?guard
+    (union_all
+       (List.map
+          (fun d -> run_plan ?guard (Plan.compile d) prepared)
+          (Ucq.disjuncts u)))
 
 let ucq_answers ?guard u f =
   match ucq_answers_outcome ?guard u f with
@@ -819,6 +939,4 @@ let () =
       | Some c ->
           if Fact_set.cardinal target < probe_leapfrog_min then
             Some (Homomorphism.exists (legacy_problem p target))
-          else
-            let tuples, _ = run_compiled ~limit:1 c (prepared_for target) in
-            Some (tuples <> []))
+          else Some (exists_compiled c (prepared_for target)))

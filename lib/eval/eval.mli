@@ -3,14 +3,16 @@
     Rewriting turns an ontology-mediated query into a UCQ; this module
     is the half that {e executes} the result against data. A CQ compiles
     into a worst-case-optimal, leapfrog-style multiway join over sorted
-    per-column views of the fact set's packed rows: one global variable
+    views of the fact set's rows, read straight from its atom set (the
+    register machine's join index is never built): one global variable
     elimination order (connectivity-greedy — each next variable shares
     an atom with the ordered prefix whenever possible), per-atom
     key-column permutations fixed
     at plan time (bound/rigid slots first), and per-variable iterator
-    frontiers intersected with galloping (exponential-probe) seeks. A
-    [Ucq.t] evaluates as a union of plans sharing one dedup table, so a
-    tuple produced by an early disjunct is never re-emitted.
+    frontiers intersected with galloping (exponential-probe) seeks. Join
+    rows are projected into a flat, deduplicating int buffer and turned
+    into sorted term tuples once, at the end. A [Ucq.t] evaluates as a
+    k-way merge of its plans' sorted answer lists.
 
     The same module is the single entry point for every other matcher in
     the codebase: {!Match} hosts the order-pinned trigger enumeration
@@ -50,8 +52,10 @@ module Plan : sig
 end
 
 (** A fact set prepared for repeated plan runs: per-relation row-major
-    argument-id matrices plus sorted row permutations, built lazily per
-    (relation, key order) under a per-view mutex, so pool workers can
+    argument-id matrices, read from {!Fact_set.to_set} in one pass on
+    first use (already sorted in argument order, since atoms compare by
+    relation, then argument ids), plus one sorted copy per further
+    (relation, key order), built lazily under a mutex so pool workers can
     share one view. The CQ/UCQ entry points below cache views per fact
     set (physical identity, small LRU) — repeated queries against one
     instance amortize the sort the same way {!Fact_set} amortizes its
@@ -71,7 +75,7 @@ val run :
 (** Execute a plan: the distinct tuples of values of the plan's unbound
     answer variables (in [Cq.free] order), sorted as {!Cq.answers}
     sorts. Guard checkpoints run at {!Guard.poll_mask} spacing on the
-    seek counter and one fuel unit is drawn per emitted tuple; a trip
+    seek counter and one fuel unit is drawn per distinct tuple; a trip
     salvages the tuples found so far — every one is a real answer
     (sound, possibly incomplete). *)
 
@@ -101,7 +105,8 @@ val boolean_holds : Cq.t -> Fact_set.t -> bool
 
 val ucq_answers : ?guard:Guard.t -> Ucq.t -> Fact_set.t -> Term.t list list
 (** Distinct answers of the union, evaluated disjunct by disjunct over
-    one shared {!Prepared} view with early cross-disjunct dedup. *)
+    one shared {!Prepared} view; the disjuncts' sorted answer lists are
+    merged. *)
 
 val ucq_answers_outcome :
   ?guard:Guard.t ->
@@ -157,7 +162,9 @@ type counters = {
   plans : int;  (** leapfrog plans executed *)
   seeks : int;  (** iterator seek operations *)
   gallops : int;  (** exponential-probe doubling steps inside seeks *)
-  emitted : int;  (** answer tuples emitted (pre-dedup) *)
+  emitted : int;
+      (** distinct answer tuples per plan (an existence check counts its
+          witness) *)
 }
 
 val counters : unit -> counters

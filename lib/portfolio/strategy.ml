@@ -75,6 +75,8 @@ let plan ?pool ?guard ?probe t =
 (* Arms                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The rewriting and chase arms return [Eval]'s tuples as they come:
+   sorted and distinct already, the form this function produces. *)
 let normalize_tuples ts = List.sort_uniq (List.compare Term.compare) ts
 
 let equal_answers a b =
@@ -105,7 +107,7 @@ let chase_arm ?pool ?guard ?(max_depth = 40) ?(max_atoms = 200_000) t d q =
           (* sound but possibly incomplete extraction *)
           (keep partial, false)
   in
-  ( normalize_tuples tuples,
+  ( tuples,
     complete && Chase.Engine.saturated run,
     Chase.Engine.kernel_stats run )
 
@@ -119,12 +121,11 @@ let rewriting_arm ?pool ?guard ?budget t d q =
       r.Rewriting.Rewrite.kernel_stats )
   else
     match Eval.ucq_answers_outcome ?guard r.Rewriting.Rewrite.ucq d with
-    | Guard.Complete tuples ->
-        (normalize_tuples tuples, true, r.Rewriting.Rewrite.kernel_stats)
+    | Guard.Complete tuples -> (tuples, true, r.Rewriting.Rewrite.kernel_stats)
     | Guard.Exhausted { partial; _ } ->
         (* sound but possibly incomplete: report inexact so the
            portfolio's validation layer does not certify the answer *)
-        (normalize_tuples partial, false, r.Rewriting.Rewrite.kernel_stats)
+        (partial, false, r.Rewriting.Rewrite.kernel_stats)
 
 (* The marked process answers queries over the level signature of
    T_d/T_d^K. Returns [None] when the query falls outside its contract

@@ -13,6 +13,8 @@ let tuples = Alcotest.testable
 let x = Term.var "x"
 let y = Term.var "y"
 let z = Term.var "z"
+let e2 a b = Atom.make Theories.Zoo.e2 [ a; b ]
+let two_step ~free = Cq.make ~free [ e2 x z; e2 z y ]
 
 let test_plan_compiles () =
   let q =
@@ -204,6 +206,152 @@ let test_counters_move () =
   Alcotest.(check int) "emitted = distinct answers" (List.length answers)
     c.Eval.emitted
 
+(* Four domains evaluate concurrently; every plan adds its counts into
+   the shared counters, and none may be lost. Many short runs on a tiny
+   instance make the plans finish at the same time often. *)
+let test_counters_concurrent () =
+  let er = Theories.Instances.erdos_renyi Theories.Zoo.e2 ~seed:23 ~nodes:6
+      ~edges:12 in
+  let q = two_step ~free:[ x; y ] in
+  Eval.reset_counters ();
+  let n = List.length (Eval.answers q er) in
+  let seeks = (Eval.counters ()).Eval.seeks in
+  let reps = 5000 in
+  Eval.reset_counters ();
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to reps do
+              ignore (Eval.answers q er)
+            done))
+  in
+  List.iter Domain.join domains;
+  let c = Eval.counters () in
+  Alcotest.(check bool) "nontrivial" true (n > 0);
+  Alcotest.(check int) "plans" (4 * reps) c.Eval.plans;
+  Alcotest.(check int) "seeks" (4 * reps * seeks) c.Eval.seeks;
+  Alcotest.(check int) "emitted = 4 x reps x answers" (4 * reps * n)
+    c.Eval.emitted
+
+let naive_ucq_answers u f =
+  let answers q =
+    List.map
+      (fun m -> List.map (fun v -> Term.Map.find v m) (Cq.free q))
+      (Naive.all ~flexible:(Cq.var_set q) (Cq.atoms q) (Fact_set.atoms f))
+  in
+  List.sort_uniq
+    (List.compare Term.compare)
+    (List.concat_map answers (Ucq.disjuncts u))
+
+(* A cold evaluation reads its views from the atom set: it neither
+   builds nor extends the fact set's join index. *)
+let test_cold_eval_builds_no_index () =
+  let u =
+    Ucq.of_disjuncts_unchecked
+      [ two_step ~free:[ x; y ]; Cq.make ~free:[ x; y ] [ e2 x y ] ]
+  in
+  let index_work () =
+    let c = Fact_set.counters () in
+    (c.Fact_set.builds, c.Fact_set.extends)
+  in
+  let fresh =
+    Fact_set.of_list
+      (Fact_set.atoms
+         (Theories.Instances.erdos_renyi Theories.Zoo.e2 ~seed:29 ~nodes:40
+            ~edges:300))
+  in
+  let before = index_work () in
+  let answers = Eval.ucq_answers u fresh in
+  Alcotest.(check (pair int int)) "no index work (fresh set)" before
+    (index_work ());
+  Alcotest.(check bool) "fresh set still unindexed" false
+    (Fact_set.is_indexed fresh);
+  Alcotest.check tuples "fresh set answers = naive" (naive_ucq_answers u fresh)
+    answers;
+  (* A chase result's last stage is a pending union whose index nothing
+     has forced yet. *)
+  let succ = Tgd.make ~name:"succ" ~body:[ e2 x y ] ~head:[ e2 y z ] () in
+  let _, _, path = Theories.Instances.path Theories.Zoo.e2 4 in
+  let chased =
+    Chase.Engine.result
+      (Chase.Engine.run ~max_depth:5 (Theory.make ~name:"succ" [ succ ]) path)
+  in
+  let before = index_work () in
+  let answers = Eval.ucq_answers u chased in
+  Alcotest.(check (pair int int)) "no index work (chase result)" before
+    (index_work ());
+  Alcotest.check tuples "chase result answers = naive"
+    (naive_ucq_answers u chased) answers
+
+(* A projection whose join rows repeat each answer many times: the
+   emission buffer keeps one row per answer, draws fuel per distinct
+   tuple, and a fuel trip flushes a sorted, distinct, sound prefix. *)
+let test_emission_buffer () =
+  let er = Theories.Instances.erdos_renyi Theories.Zoo.e2 ~seed:31 ~nodes:200
+      ~edges:2000 in
+  let q = two_step ~free:[ x ] in
+  let sorted_distinct ts =
+    let rec go = function
+      | a :: (b :: _ as rest) -> List.compare Term.compare a b < 0 && go rest
+      | _ -> true
+    in
+    go ts
+  in
+  Eval.reset_counters ();
+  let full = Eval.answers q er in
+  Alcotest.check tuples "projection = Cq.answers" (Cq.answers q er) full;
+  Alcotest.(check int) "emitted = distinct answers" (List.length full)
+    (Eval.counters ()).Eval.emitted;
+  let guard = Guard.create ~fuel:5 () in
+  match Eval.answers_outcome ~guard q er with
+  | Guard.Complete _ -> Alcotest.fail "expected a fuel trip"
+  | Guard.Exhausted { partial; cause; _ } ->
+      Alcotest.(check bool) "fuel cause" true (cause = Guard.Fuel);
+      Alcotest.(check bool) "partial has the paid tuples" true
+        (List.length partial > 5);
+      Alcotest.(check bool) "partial is strict" true
+        (List.length partial < List.length full);
+      Alcotest.(check bool) "partial sorted and distinct" true
+        (sorted_distinct partial);
+      List.iter
+        (fun tuple ->
+          Alcotest.(check bool) "partial tuple is a real answer" true
+            (List.exists (fun t -> List.compare Term.compare t tuple = 0) full))
+        partial
+
+(* Disjuncts that overlap heavily: the k-way merge of their sorted
+   answer lists is the sorted union, for every prefix of the list. *)
+let test_ucq_merge () =
+  let er = Theories.Instances.erdos_renyi Theories.Zoo.e2 ~seed:37 ~nodes:25
+      ~edges:150 in
+  let w = Term.var "w" in
+  let ds =
+    List.map
+      (Cq.make ~free:[ x; y ])
+      [
+        [ e2 x y ];
+        [ e2 x y; e2 y z ];
+        [ e2 x z; e2 z y ];
+        [ e2 w x; e2 x y ];
+        [ e2 y x ];
+      ]
+  in
+  let union ds =
+    List.sort_uniq
+      (List.compare Term.compare)
+      (List.concat_map (fun q -> Cq.answers q er) ds)
+  in
+  Alcotest.(check bool) "disjuncts overlap" true
+    (List.length (union ds)
+    < List.fold_left (fun n q -> n + List.length (Cq.answers q er)) 0 ds);
+  for k = 0 to List.length ds do
+    let prefix = List.filteri (fun i _ -> i < k) ds in
+    Alcotest.check tuples
+      (Printf.sprintf "%d-disjunct union = sorted union" k)
+      (union prefix)
+      (Eval.ucq_answers (Ucq.of_disjuncts_unchecked prefix) er)
+  done
+
 let test_match_trigger_rounds () =
   (* Eval.Match must reproduce the engine's semi-naive enumeration: the
      chase (which now routes through it) still saturates correctly. *)
@@ -235,11 +383,13 @@ let () =
             test_answers_match_reference;
           Alcotest.test_case "holds / boolean" `Quick test_holds_and_boolean;
           Alcotest.test_case "ucq union dedup" `Quick test_ucq_union_dedup;
+          Alcotest.test_case "ucq k-way merge" `Quick test_ucq_merge;
         ] );
       ( "guard",
         [
           Alcotest.test_case "partial answers are sound" `Quick
             test_guard_partial_is_sound;
+          Alcotest.test_case "emission buffer" `Quick test_emission_buffer;
         ] );
       ( "integration",
         [
@@ -247,5 +397,9 @@ let () =
             test_containment_probe_via_hook;
           Alcotest.test_case "counters" `Quick test_counters_move;
           Alcotest.test_case "match rounds" `Quick test_match_trigger_rounds;
+          Alcotest.test_case "concurrent counters" `Quick
+            test_counters_concurrent;
+          Alcotest.test_case "cold eval builds no index" `Quick
+            test_cold_eval_builds_no_index;
         ] );
     ]

@@ -695,6 +695,97 @@ let prop_eval_ucq_matches_naive =
                (List.concat_map (fun q -> naive_answers q d) (Ucq.disjuncts u))))
         (decode_instance inst :: eval_seed_instances))
 
+(* A copy of [d] with every constant renamed [<tag>/<name>] under a
+   fresh tag, the new constants interned in [d]'s id order or, given a
+   random state, in a shuffled order. *)
+let renamed_copies = ref 0
+
+let renamed_copy ?shuffle d =
+  incr renamed_copies;
+  let tag = Printf.sprintf "i%d" !renamed_copies in
+  let dom = Array.of_list (Term.Set.elements (Fact_set.domain d)) in
+  Option.iter
+    (fun st ->
+      for i = Array.length dom - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let t = dom.(i) in
+        dom.(i) <- dom.(j);
+        dom.(j) <- t
+      done)
+    shuffle;
+  let renamed = Hashtbl.create 64 in
+  Array.iter
+    (fun (t : Term.t) ->
+      match t.Term.view with
+      | Term.Const n -> Hashtbl.replace renamed t (Term.const (tag ^ "/" ^ n))
+      | Term.Var _ | Term.App _ -> Hashtbl.replace renamed t t)
+    dom;
+  Fact_set.of_list
+    (List.map
+       (fun a ->
+         Atom.make (Atom.rel a) (List.map (Hashtbl.find renamed) (Atom.args a)))
+       (Fact_set.atoms d))
+
+(* Answers by constant name, tags stripped, in name order. *)
+let render_answers tuples =
+  let name (t : Term.t) =
+    match t.Term.view with
+    | Term.Const n -> (
+        match String.index_opt n '/' with
+        | Some i -> String.sub n (i + 1) (String.length n - i - 1)
+        | None -> n)
+    | Term.Var _ | Term.App _ -> Fmt.str "%a" Term.pp t
+  in
+  List.sort compare (List.map (List.map name) tuples)
+
+let prop_eval_interning_order =
+  (* Views and answer rows are ordered by intern id; the answers
+     themselves must not depend on the order the constants were
+     interned in. Besides the random query, fixed two-step paths and a
+     triangle make every case join through re-sorted views. *)
+  let v = body_var in
+  let at rel args = Atom.make rel (List.map v args) in
+  let fixed =
+    [
+      Cq.make ~free:[ v 0; v 2 ] [ at e [ 0; 1 ]; at e [ 1; 2 ] ];
+      Cq.make ~free:[ v 0; v 2 ] [ at r [ 0; 1 ]; at e [ 1; 2 ] ];
+      Cq.make ~free:[ v 0 ] [ at e [ 0; 1 ]; at r [ 1; 2 ]; at p [ 2 ] ];
+      Cq.make ~free:[ v 0; v 1 ] [ at e [ 0; 1 ]; at e [ 1; 2 ]; at e [ 0; 2 ] ];
+    ]
+  in
+  QCheck.Test.make ~count
+    ~name:"Eval.answers: same answers by name under shuffled interning"
+    QCheck.(triple open_query_arb (int_bound 10_000) bool)
+    (fun (qenc, seed, grid) ->
+      let nodes = 5 + (seed mod 6) in
+      let edges =
+        if grid then
+          Theories.Instances.grid r e ~width:(2 + (seed mod 4))
+            ~height:(2 + (seed / 4 mod 4))
+        else
+          Fact_set.union
+            (Theories.Instances.erdos_renyi e ~seed ~nodes ~edges:(3 * nodes))
+            (Theories.Instances.erdos_renyi r ~seed:(seed + 1) ~nodes
+               ~edges:(2 * nodes))
+      in
+      let d =
+        Fact_set.union edges
+          (Fact_set.of_list
+             (List.filteri
+                (fun i _ -> i mod 2 = 0)
+                (List.map
+                   (fun t -> Atom.make p [ t ])
+                   (Term.Set.elements (Fact_set.domain edges)))))
+      in
+      let natural = renamed_copy d in
+      let shuffled = renamed_copy ~shuffle:(Random.State.make [| seed |]) d in
+      List.for_all
+        (fun q ->
+          let expected = render_answers (Eval.answers q d) in
+          render_answers (Eval.answers q natural) = expected
+          && render_answers (Eval.answers q shuffled) = expected)
+        (decode_open_query qenc :: fixed))
+
 let prop_eval_zoo_certain_answers_agree =
   (* The [frontier answer] pipeline (Strategy -> rewrite -> evaluate)
      against chase-then-query across the theory zoo, sequential and -j4:
@@ -988,6 +1079,7 @@ let () =
             prop_eval_answers_match_naive;
             prop_eval_ucq_matches_naive;
             prop_eval_zoo_certain_answers_agree;
+            prop_eval_interning_order;
           ] );
       ( "pool",
         [ QCheck_alcotest.to_alcotest prop_pool_primitives ] );
