@@ -119,7 +119,6 @@ let run_from ?(pool = Parallel.Pool.sequential) ?guard ?(max_depth = 50)
       | _ :: prev :: _ -> prev
       | _ -> Fact_set.empty)
   in
-  let old_dom = ref (Fact_set.domain !old_facts) in
   (* A client-level stop that is not a guard trip: the historical
      [max_atoms] atom cap, expressed as the unified fuel cause. *)
   let capped = ref None in
@@ -141,13 +140,9 @@ let run_from ?(pool = Parallel.Pool.sequential) ?guard ?(max_depth = 50)
     in
     (* Force the lazy indexes of the shared fact sets *before* fanning out:
        workers only ever read them. *)
-    ignore (Fact_set.domain !old_facts);
-    ignore (Fact_set.domain delta);
-    let full_dom = Fact_set.domain !full in
-    let new_dom = Term.Set.diff full_dom !old_dom in
-    let old_dom_list = Term.Set.elements !old_dom in
-    let new_dom_list = Term.Set.elements new_dom in
-    let full_dom_list = Term.Set.elements full_dom in
+    Fact_set.force_index !old_facts;
+    Fact_set.force_index delta;
+    Fact_set.force_index !full;
     (* One task per (rule, semi-naive round), in rule-major order. Each
        task accumulates its productions locally (newest first, like the
        sequential engine); the deterministic slot-ordered merge below
@@ -162,6 +157,28 @@ let run_from ?(pool = Parallel.Pool.sequential) ?guard ?(max_depth = 50)
              List.map (fun part -> (rule, part))
                (rule_parts rule ~old_is_empty))
            (Theory.rules theory))
+    in
+    (* The domain lists, built (before the fan-out) only when some task's
+       part reads them — never for a theory without [dom] atoms. [full]'s
+       domain derives from [old_facts]' (the previous round's [full]), so
+       a theory that reads domains pays one fold over each delta. *)
+    let reads dom =
+      Array.exists
+        (fun (rule, part) -> List.mem dom (Eval.Match.dom_reads rule part))
+        tasks
+    in
+    let full_dom () = Fact_set.domain !full in
+    let old_dom () = Fact_set.domain !old_facts in
+    let old_dom_list =
+      if reads `Old then Term.Set.elements (old_dom ()) else []
+    in
+    let new_dom_list =
+      if reads `New then
+        Term.Set.elements (Term.Set.diff (full_dom ()) (old_dom ()))
+      else []
+    in
+    let full_dom_list =
+      if reads `Full then Term.Set.elements (full_dom ()) else []
     in
     let t_sweep = Unix.gettimeofday () in
     let est_s = !last_sweep_s in
@@ -237,7 +254,6 @@ let run_from ?(pool = Parallel.Pool.sequential) ?guard ?(max_depth = 50)
             ~admitted:fresh_atoms ~deduped:(!n_produced - fresh_atoms) ()
         in
         old_facts := !full;
-        old_dom := full_dom;
         (* [fresh] contains no atom of [full]: every non-initial atom of
            [full] is in [info] and initial atoms are filtered above. *)
         full := Fact_set.union_disjoint !full delta';

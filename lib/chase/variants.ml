@@ -55,11 +55,14 @@ let run_oblivious ?(pool = Parallel.Pool.sequential) ?guard
       discard
     end
     else begin
-      (* Publish the index before the fan-out; workers only read [!facts].
+      (* Publish the index — and the domain, if a rule has [dom]
+         variables — before the fan-out; workers only read [!facts].
          The per-rule addition sets are merged in rule order (set union is
          order-insensitive anyway, so the result is trivially
          deterministic). *)
-      ignore (Fact_set.domain !facts);
+      Fact_set.force_index !facts;
+      if Array.exists (fun r -> Tgd.dom_vars r <> []) rules then
+        ignore (Fact_set.domain !facts);
       let per_rule =
         Parallel.Pool.map_array ~guard ctx.Saturation.pool
           (fun (rule_index, rule) ->

@@ -876,6 +876,16 @@ module Match = struct
       delta_parts @ [ Ground ]
     else delta_parts
 
+  (* The domain lists [part_triggers] reads for [part], exactly as its
+     [domain_bindings] below pick them. *)
+  let dom_reads rule part =
+    let d = List.length (Tgd.dom_vars rule) in
+    let if_ b l = if b then [ l ] else [] in
+    match part with
+    | Delta_seed _ -> if_ (d > 0) `Full
+    | Dom_seed i -> (`New :: if_ (i > 0) `Old) @ if_ (i < d - 1) `Full
+    | Ground -> []
+
   (* Enumerate one round of the triggers of [rule] that use at least one
      "new" ingredient: a body atom in [delta], or a domain-variable binding
      to a new domain element. The partition (first delta body atom / first

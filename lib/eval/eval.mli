@@ -136,6 +136,12 @@ module Match : sig
 
   val rule_parts : Tgd.t -> old_is_empty:bool -> part list
 
+  val dom_reads : Tgd.t -> part -> [ `Old | `New | `Full ] list
+  (** Which of the three domain lists {!part_triggers} reads for this
+      part ([old_dom_list], [new_dom_list], [full_dom_list]): only parts
+      of rules with [dom(...)] variables read any, so a caller builds a
+      list only when some part reads it. *)
+
   val part_triggers :
     Tgd.t ->
     part ->

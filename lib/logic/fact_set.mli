@@ -1,12 +1,11 @@
 (** Fact sets: database instances and (finite prefixes of) chase structures.
 
     A fact set is an immutable set of atoms together with indexes used by
-    the homomorphism engine: a per-relation index and a
-    (relation, position, term) index for selective joins, the latter keyed
-    exactly by the hash-consed term id.
+    the homomorphism engine: a per-relation table and, per (relation,
+    argument position), a join index keyed by the hash-consed term id.
 
     Indexes are maintained {e incrementally}: the index is a persistent
-    stack of frozen (immutable after construction) hash-table layers,
+    stack of frozen (immutable after construction) layers of flat arrays,
     structurally shared between a set and the sets derived from it. [add]
     and [union] cons a layer holding just the delta onto the parent's
     stack and small [diff]s rebuild only the layers containing removed
@@ -17,10 +16,15 @@
 
     Each layer stores every fact once, in a packed table per relation
     (the facts plus a row-major slab of their argument-term ids), and
-    indexes it by sorted row {e postings} per (relation, position, term).
+    indexes every argument position with a CSR postings column: the
+    table's rows sorted by (term id, row), one ascending slice per
+    distinct id, found through a flat open-addressing table on the id.
     Candidate rows come out newest layer first, in ascending row order
     within a layer — the order the homomorphism engine enumerates
-    matches in, and so the order the chase names its nulls in. *)
+    matches in, and so the order the chase names its nulls in.
+
+    The active domain is not part of the index: {!domain} computes it on
+    first use, from a parent set's domain where one is known. *)
 
 type t
 
@@ -51,7 +55,10 @@ val filter : (Atom.t -> bool) -> t -> t
 val domain : t -> Term.Set.t
 (** The active domain [dom(F)]: every term appearing in some fact. Terms are
     treated atomically (a Skolem term is one element; its subterms are not
-    domain members unless they appear in argument position themselves). *)
+    domain members unless they appear in argument position themselves).
+    Computed on the first call and kept; a set derived by [add], [union]
+    or [diff] from a set whose domain is known (or pending) derives its
+    own from it. Neither forces nor is forced by the join index. *)
 
 val signature : t -> Symbol.Set.t
 
@@ -80,15 +87,20 @@ val iter_join_candidates :
     [nb = 0] every fact of the relation is visited, in {!by_rel} order;
     with constraints, the facts that pass the filter come out in that
     same relative order. With two or more constraints and a large
-    enough seed, the two smallest sorted postings are merge-intersected
+    enough seed, the two smallest sorted slices are merge-intersected
     before rows reach the callback. *)
 
 val atoms_with_term : t -> Term.t -> Atom.t list
 (** Every atom with the given term in some argument position, in the
     same order a [List.filter] over [atoms] would produce. Answered from
-    the (relation, position, term) join index — one bucket probe per
-    (layer, relation, position) instead of a scan of the whole set.
+    the join index — one slice lookup per (layer, relation, position)
+    instead of a scan of the whole set.
     Forces the index. *)
+
+val force_index : t -> unit
+(** Build the set's join index now (a no-op once built). Callers that
+    fan reads of a shared set out to worker domains force it first, so
+    the workers only read. *)
 
 val is_indexed : t -> bool
 (** Whether the set's index has (or shares) a built form — lets callers
@@ -115,7 +127,8 @@ type counters = {
   removed_atoms : int;  (** atoms removed from an existing index *)
   posting_probes : int;  (** join-index lookups (per layer, per constraint) *)
   posting_intersections : int;
-      (** sorted-posting merge-intersections in {!iter_join_candidates} *)
+      (** sorted-slice merge-intersections in {!iter_join_candidates} *)
+  domains : int;  (** active domains computed by {!domain} *)
 }
 
 val counters : unit -> counters

@@ -196,6 +196,26 @@ let test_needed_depth () =
   Alcotest.(check bool) "enough 2" true (Chase.Entailment.enough run 2 q);
   Alcotest.(check bool) "not enough 1" false (Chase.Entailment.enough run 1 q)
 
+let test_td_entailment_pin () =
+  (* Figure 1 / Theorem 1: Ch(T_d, G^8) to depth 7 has the paper's stage
+     sizes, and phi_R^3(a0,a8) first holds at stage 7. Deciding it reads
+     the join index of every stage; it must not build an active domain
+     (the final stage's is still pending after the chase). *)
+  let a0, a8, g8 = Theories.Instances.path Theories.Zoo.g2 8 in
+  let run = Chase.Engine.run ~max_depth:7 ~max_atoms:max_int Theories.Zoo.t_d g8 in
+  Alcotest.(check (list int))
+    "Figure 1 stage sizes"
+    [ 8; 28; 98; 276; 798; 2348; 8260; 37418 ]
+    (List.init (Chase.Engine.depth run + 1) (fun i ->
+         Fact_set.cardinal (Chase.Engine.stage run i)));
+  let _, _, phi3 = Theories.Zoo.phi_r 3 in
+  Fact_set.reset_counters ();
+  (match Chase.Entailment.entails_run run phi3 [ a0; a8 ] with
+  | Chase.Entailment.Entailed n -> Alcotest.(check int) "needed depth" 7 n
+  | _ -> Alcotest.fail "phi_R^3(a0,a8) should be entailed at depth 7");
+  Alcotest.(check int) "no domain built by the entailment" 0
+    (Fact_set.counters ()).Fact_set.domains
+
 (* ------------------------------------------------------------------ *)
 (* Cores and termination                                               *)
 (* ------------------------------------------------------------------ *)
@@ -453,7 +473,11 @@ let () =
           Alcotest.test_case "rule counts" `Quick test_rule_counts;
         ] );
       ( "entailment",
-        [ Alcotest.test_case "needed depth" `Quick test_needed_depth ] );
+        [
+          Alcotest.test_case "needed depth" `Quick test_needed_depth;
+          Alcotest.test_case "T_d on G^8: Figure 1 stages, phi_R^3 at 7"
+            `Quick test_td_entailment_pin;
+        ] );
       ( "cores",
         [
           Alcotest.test_case "core of structure" `Quick test_core_of_structure;

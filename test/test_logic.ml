@@ -125,6 +125,29 @@ let test_candidates_multi_bound () =
   check_bound "inconsistent bounds" [ (0, c "f"); (2, c "d") ] [];
   check_bound "selective seed filters rest" [ (0, c "f"); (1, c "b") ] [ f4 ]
 
+let test_candidate_order_across_merges () =
+  (* Candidates come out newest layer first, newest fact first within a
+     layer; merging the stack past its depth bound must keep that order.
+     One indexed base layer plus eight single-atom [add] layers forces
+     merges. *)
+  let base =
+    Fact_set.of_list [ atom e [ c "b0"; c "x" ]; atom e [ c "b1"; c "x" ] ]
+  in
+  Fact_set.force_index base;
+  let added =
+    List.init 8 (fun i -> atom e [ c (Printf.sprintf "n%d" i); c "x" ])
+  in
+  let builds0 = (Fact_set.counters ()).Fact_set.builds in
+  let fs = List.fold_left (fun acc a -> Fact_set.add a acc) base added in
+  Alcotest.(check bool) "layers were merged" true
+    ((Fact_set.counters ()).Fact_set.builds > builds0);
+  let expected = List.rev added @ Fact_set.by_rel base e in
+  let names l = List.map (Fmt.str "%a" Atom.pp) l in
+  Alcotest.(check (list string)) "by_rel order" (names expected)
+    (names (Fact_set.by_rel fs e));
+  Alcotest.(check (list string)) "candidate order" (names expected)
+    (names (Rows.candidates fs e ~bound:[ (1, c "x") ]))
+
 let test_gaifman () =
   let fs =
     Fact_set.of_list
@@ -512,62 +535,118 @@ let prop_instance_roundtrip =
       Fact_set.equal fs (Parser.parse_instance printed))
 
 let prop_incremental_index_equiv =
-  (* A fact set grown by a random interleaving of add/union/diff — whose
-     index is extended by delta layers and shared structurally — must
-     answer every probe exactly like a set rebuilt from scratch from its
-     atoms (which gets a fresh single-layer index). *)
+  (* A fact set grown by a random sequence of add / union /
+     union_disjoint / diff / remove / filter — with the index and the
+     domain of intermediate sets forced at random, so derived sets extend
+     or shrink shared layers, derive pending domains, and stacks deeper
+     than [max_layers] merge — must answer every probe like a set rebuilt
+     from scratch from its atoms. Atoms mix a binary relation (including
+     duplicate-position facts E(x,x)) and a ternary one. The ternary
+     facts are dense enough for some slices to take the
+     merge-intersection path; the binary ones reach sparse nodes 4..7,
+     whose last occurrence a removal often deletes. *)
+  let t3 = sym "T" 3 in
+  let node i = c (string_of_int i) in
+  let gen_atom =
+    QCheck.Gen.(
+      map
+        (fun (kind, (i, j, k)) ->
+          match kind with
+          | 0 -> atom e [ node i; node (j + (4 * (k land 1))) ]
+          | 1 -> atom e [ node (i + 4); node (i + 4) ]
+          | _ -> atom t3 [ node i; node j; node k ])
+        (pair (0 -- 2) (triple (0 -- 3) (0 -- 3) (0 -- 3))))
+  in
   let gen_ops =
     QCheck.Gen.(
-      list_size (1 -- 12)
-        (pair (0 -- 2) (list_size (0 -- 6) (pair (0 -- 4) (0 -- 4)))))
+      list_size (6 -- 24)
+        (triple (0 -- 5) (0 -- 3) (list_size (0 -- 40) gen_atom)))
+  in
+  let op_name = function
+    | 0 -> "add"
+    | 1 -> "union"
+    | 2 -> "union_disjoint"
+    | 3 -> "diff"
+    | 4 -> "remove"
+    | _ -> "filter"
   in
   let print_ops ops =
     String.concat "; "
       (List.map
-         (fun (op, edges) ->
-           Printf.sprintf "%s %s"
-             (match op with 0 -> "add" | 1 -> "union" | _ -> "diff")
-             (String.concat ","
-                (List.map (fun (i, j) -> Printf.sprintf "%d-%d" i j) edges)))
+         (fun (op, force, atoms) ->
+           Printf.sprintf "force %d, %s %s" force (op_name op)
+             (String.concat "," (List.map (Fmt.str "%a" Atom.pp) atoms)))
          ops)
   in
   QCheck.Test.make ~count:200 ~name:"incremental index = rebuilt index"
     (QCheck.make ~print:print_ops gen_ops)
     (fun ops ->
-      let apply fs (op, edges) =
-        let other = fact_set_of_edges edges in
+      let step fs (op, force, atoms) =
+        (* Forcing happens on the operation's input, so the final set's
+           own domain is never forced before the check below. *)
+        if force land 1 = 1 then Fact_set.force_index fs;
+        if force land 2 = 2 then ignore (Fact_set.domain fs);
+        let other = Fact_set.of_list atoms in
         match op with
-        | 0 ->
-            List.fold_left
-              (fun acc a -> Fact_set.add a acc)
-              fs (Fact_set.atoms other)
+        | 0 -> List.fold_left (fun acc a -> Fact_set.add a acc) fs atoms
         | 1 -> Fact_set.union fs other
-        | _ -> Fact_set.diff fs other
+        | 2 ->
+            Fact_set.union_disjoint fs
+              (Fact_set.of_set
+                 (Atom.Set.diff (Fact_set.to_set other) (Fact_set.to_set fs)))
+        | 3 -> Fact_set.diff fs other
+        | 4 -> List.fold_left (fun acc a -> Fact_set.remove a acc) fs atoms
+        | _ -> Fact_set.filter (fun a -> not (Fact_set.mem a other)) fs
       in
-      let fs = List.fold_left apply Fact_set.empty ops in
+      let fs = List.fold_left step Fact_set.empty ops in
+      let naive_domain =
+        List.fold_left
+          (fun d a -> List.fold_left (fun d t -> Term.Set.add t d) d (Atom.args a))
+          Term.Set.empty (Fact_set.atoms fs)
+      in
+      let domain_ok = Term.Set.equal (Fact_set.domain fs) naive_domain in
       let rebuilt = Fact_set.of_list (Fact_set.atoms fs) in
       let same_answers l1 l2 =
         (* Bucket order may differ between a layered and a fresh index;
-           only the answer set is specified. *)
+           only the answer set is specified across the two. *)
         Atom.Set.equal (Atom.Set.of_list l1) (Atom.Set.of_list l2)
       in
-      let nodes = List.init 5 (fun i -> c (string_of_int i)) in
-      Fact_set.equal fs rebuilt
-      && Term.Set.equal (Fact_set.domain fs) (Fact_set.domain rebuilt)
-      && same_answers (Fact_set.by_rel fs e) (Fact_set.by_rel rebuilt e)
-      && List.for_all
-           (fun ti ->
-             same_answers
-               (Rows.candidates fs e ~bound:[ (0, ti) ])
-               (Rows.candidates rebuilt e ~bound:[ (0, ti) ])
-             && List.for_all
-                  (fun tj ->
-                    same_answers
-                      (Rows.candidates fs e ~bound:[ (0, ti); (1, tj) ])
-                      (Rows.candidates rebuilt e
-                         ~bound:[ (0, ti); (1, tj) ]))
-                  nodes)
-           nodes)
+      let nodes = List.init 8 node in
+      (* Every constraint set of 1..3 (position, node) pairs on distinct
+         positions of [rel]. *)
+      let rec bounds pos arity =
+        if pos >= arity then [ [] ]
+        else
+          let rest = bounds (pos + 1) arity in
+          rest
+          @ List.concat_map
+              (fun n -> List.map (fun b -> (pos, n) :: b) rest)
+              nodes
+      in
+      let rel_ok rel =
+        same_answers (Fact_set.by_rel fs rel) (Fact_set.by_rel rebuilt rel)
+        && List.for_all
+             (fun bound ->
+               bound = []
+               ||
+               let got = Rows.candidates fs rel ~bound in
+               (* In order within one set, as a set across the two. *)
+               List.equal Atom.equal got (Rows.reference fs rel ~bound)
+               && same_answers got (Rows.candidates rebuilt rel ~bound))
+             (bounds 0 (Symbol.arity rel))
+      in
+      let occurrences_ok =
+        List.for_all
+          (fun n ->
+            List.equal Atom.equal
+              (Fact_set.atoms_with_term fs n)
+              (List.filter
+                 (fun a -> List.exists (Term.equal n) (Atom.args a))
+                 (Fact_set.atoms fs)))
+          nodes
+      in
+      domain_ok && Fact_set.equal fs rebuilt && rel_ok e && rel_ok t3
+      && occurrences_ok)
 
 let () =
   Alcotest.run "logic"
@@ -589,6 +668,8 @@ let () =
           Alcotest.test_case "candidates with several bounds" `Quick
             test_candidates_multi_bound;
           Alcotest.test_case "gaifman" `Quick test_gaifman;
+          Alcotest.test_case "candidate order across layer merges" `Quick
+            test_candidate_order_across_merges;
         ] );
       ( "cq",
         [
