@@ -156,10 +156,10 @@ check-resume: build
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
-# Quick A/B passes on reduced workloads; each experiment emits a JSON
+# Quick passes on reduced workloads; each experiment emits a JSON
 # snapshot (counters + timings) suitable for archiving as a CI artifact:
-#   ix     incremental fact-set indexing + containment memoization
-#   rw     subsumption-indexed UCQ store + decomposed containment solver
+#   ix     T_d chase on the incremental index + cold vs warm containment memo
+#   rw     E2/E3 marked rewritings and generic saturation, one arm each
 #   shard  sharded work-stealing pool, -j1 vs -j4 differential
 #   eval   leapfrog plan layer vs the register machine + answer pipeline
 bench-smoke: | $(SNAPSHOTS)

@@ -20,8 +20,8 @@
      E13 Section 3/5       chase-flavour termination matrix
      E14 motivation        answering via rewriting vs via the chase
      par                   parallel layer determinism & scaling
-     ix                    incremental indexing / memoization A/B
-     rw                    subsumption index + decomposed containment A/B
+     ix                    incremental indexing, cold vs warm containment memo
+     rw                    E2/E3 marked rewritings + generic saturation ledger
      shard                 sharded work-stealing pool, -j1 vs -j4
      eval                  leapfrog plan layer vs the register machine
      po                    portfolio selection over the zoo + fuzz smoke
@@ -122,8 +122,8 @@ let e2 () =
         (1 lsl n) found res.Marked.Process.stats.Marked.Process.steps dt
         (if res.Marked.Process.complete then "" else " (budget!)"))
     (* n = 5 became affordable with the subsumption-indexed UCQ store and
-       the component-decomposed containment solver (the rw experiment);
-       the seed engine needed minutes for it. *)
+       the WL-keyed classification store (the rw experiment); the seed
+       engine needed minutes for it. *)
     [ 1; 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
@@ -670,8 +670,8 @@ let par () =
     jobs t_par (t_seq /. t_par);
   row "  stages bit-identical: %b; saturation flags equal: %b@." stages_equal
     (Chase.Engine.saturated run_seq = Chase.Engine.saturated run_par
-    && Chase.Engine.hit_atom_budget run_seq
-       = Chase.Engine.hit_atom_budget run_par);
+    && (Chase.Engine.interrupted run_seq = Some Guard.Fuel)
+       = (Chase.Engine.interrupted run_par = Some Guard.Fuel));
   Array.iter
     (fun (s : Saturation.Stats.round) ->
       row "    stage %d: %6d triggers, %6d derived (%6d fresh), %.4fs wall@."
@@ -721,14 +721,13 @@ let par () =
     k.Saturation.Stats.totals.Saturation.Stats.deduped
 
 (* ------------------------------------------------------------------ *)
-(* ix — incremental indexing & containment memoization A/B             *)
+(* ix — incremental indexing & containment memoization, cold vs warm    *)
 (* ------------------------------------------------------------------ *)
 
-(* The tentpole experiment of the indexing/memoization PR: time the
-   chase hot path (T_d on the depth-8 grid of E1/par) on the
+(* Time the chase hot path (T_d on the depth-8 grid of E1/par) on the
    incrementally-maintained index, and run the rewriting hot path
-   (generic saturation on T_d \ (loop), as in E11) with the containment
-   memo cache switched off and on, in-process. Timings are min-of-N (the
+   (generic saturation on T_d \ (loop), as in E11) against a cold and
+   then a warm containment memo, in-process. Timings are min-of-N (the
    box is noisy); counters come from the instrumented run.
 
    FRONTIER_BENCH_SMOKE=1   shrink the workloads (CI smoke sizing)
@@ -736,9 +735,9 @@ let par () =
 
 let ix () =
   header "ix"
-    "incremental fact-set indexing + containment memoization (A/B)"
-    "the chase runs on the incremental index; the memo toggle attributes \
-     the rewriting's cache traffic";
+    "incremental fact-set indexing + containment memoization"
+    "the chase runs on the incremental index; cold vs warm memo runs \
+     attribute the rewriting's cache traffic";
   let smoke = Sys.getenv_opt "FRONTIER_BENCH_SMOKE" <> None in
   let reps = if smoke then 2 else 5 in
   let grid_len = if smoke then 4 else 8 in
@@ -758,20 +757,6 @@ let ix () =
         max_atoms_per_disjunct = 24;
         max_steps = 2_000;
       }
-  in
-  let best f =
-    (* min-of-reps wall time; result and counters from the last rep
-       (per-rep work is deterministic). *)
-    let t = ref infinity in
-    let out = ref None in
-    for _ = 1 to reps do
-      Fact_set.reset_counters ();
-      Containment.reset_memo ();
-      let v, dt = time_it f in
-      if dt < !t then t := dt;
-      out := Some v
-    done;
-    (Option.get !out, !t)
   in
   (* --- chase: T_d on G^grid_len to depth [depth], then Theorem 1's
      entailment check phi_R^k(a0, a_grid_len) on the unforced result ---- *)
@@ -818,16 +803,12 @@ let ix () =
     Rewriting.Rewrite.rewrite ~budget:rewrite_budget Theories.Zoo.t_d_noloop
       q
   in
-  Containment.set_memoization false;
-  let r_off, rw_off = best rewrite in
-  (* The memo arm deliberately does *not* reset the cache between reps:
-     a single cold saturation has almost no repeated (candidate,
-     disjunct) pairs, so the cache's value shows when the same theory is
-     rewritten again and the process-wide verdicts are reused — the
-     repeated-analysis pattern of the marked-set and termination
-     pipelines. Cold (first run) and warm (later runs) are reported
-     separately. *)
-  Containment.set_memoization true;
+  (* The memo is deliberately *not* reset between reps: a single cold
+     saturation has almost no repeated (candidate, disjunct) pairs, so
+     the cache's value shows when the same theory is rewritten again and
+     the process-wide verdicts are reused — the repeated-analysis
+     pattern of the marked-set and termination pipelines. Cold (first
+     run) and warm (later runs) are reported separately. *)
   Containment.reset_memo ();
   let r_cold, rw_cold = time_it rewrite in
   let r_on = ref r_cold in
@@ -841,15 +822,15 @@ let ix () =
   let r_on = !r_on in
   row "  rewrite T_d\\(loop) G(x,y), %d steps:@."
     r_on.Rewriting.Rewrite.steps;
-  row "    memo off:       %.4fs  (%d containment checks, all computed)@."
-    rw_off r_off.Rewriting.Rewrite.containment_checks;
-  row "    memo on, cold:  %.4fs  (first run, empty cache)@." rw_cold;
-  row "    memo on, warm:  %.4fs  (%d checks: %d cache hits, %d misses)@."
+  row "    cold:  %.4fs  (first run, empty cache; %d checks, %d misses)@."
+    rw_cold r_cold.Rewriting.Rewrite.containment_checks
+    r_cold.Rewriting.Rewrite.cache_misses;
+  row "    warm:  %.4fs  (%d checks: %d cache hits, %d misses)@."
     rw_warm r_on.Rewriting.Rewrite.containment_checks
     r_on.Rewriting.Rewrite.cache_hits r_on.Rewriting.Rewrite.cache_misses;
   row "    warm speedup: x%.2f;  rewritings equivalent: %b@."
-    (rw_off /. rw_warm)
-    (Ucq.equivalent r_off.Rewriting.Rewrite.ucq r_on.Rewriting.Rewrite.ucq);
+    (rw_cold /. rw_warm)
+    (Ucq.equivalent r_cold.Rewriting.Rewrite.ucq r_on.Rewriting.Rewrite.ucq);
   (* --- optional JSON snapshot ---------------------------------------- *)
   match Sys.getenv_opt "FRONTIER_BENCH_JSON" with
   | None -> ()
@@ -858,7 +839,7 @@ let ix () =
       @@ Printf.sprintf
            {|{
   "bench": "ix",
-  "note": "warm_speedup compares the in-process memo toggle of this build; the chase has one arm, the incremental index",
+  "note": "warm_speedup is cold_s / warm_s: the same rewriting against an empty and then a warm containment memo; the chase has one arm, the incremental index",
   "command": "%sFRONTIER_BENCH_JSON=%s dune exec bench/main.exe -- ix",
   "cores": %d,
   "smoke": %b,
@@ -874,9 +855,8 @@ let ix () =
   "rewrite": {
     "workload": "T_d minus loop, G(x,y), budget %d/%d/%d",
     "steps": %d,
-    "memo_off_s": %.6f,
-    "memo_on_cold_s": %.6f,
-    "memo_on_warm_s": %.6f,
+    "cold_s": %.6f,
+    "warm_s": %.6f,
     "warm_speedup": %.3f,
     "containment_checks": %d,
     "cache_hits": %d,
@@ -893,121 +873,84 @@ let ix () =
         rewrite_budget.Rewriting.Rewrite.max_disjuncts
         rewrite_budget.Rewriting.Rewrite.max_atoms_per_disjunct
         rewrite_budget.Rewriting.Rewrite.max_steps
-        r_on.Rewriting.Rewrite.steps rw_off rw_cold rw_warm
-        (rw_off /. rw_warm)
+        r_on.Rewriting.Rewrite.steps rw_cold rw_warm
+        (rw_cold /. rw_warm)
         r_on.Rewriting.Rewrite.containment_checks
         r_on.Rewriting.Rewrite.cache_hits r_on.Rewriting.Rewrite.cache_misses;
       row "  json snapshot written to %s@." path
 
 (* ------------------------------------------------------------------ *)
-(* rw — subsumption-indexed UCQ store & decomposed containment A/B     *)
+(* rw — the containment-bound rewriting workloads, single-arm ledger   *)
 (* ------------------------------------------------------------------ *)
 
-(* The tentpole experiment of the subsumption-index PR. Both layers ship
-   behind toggles in the style of [Containment.set_memoization]:
-
-     Ucq_index.set_indexing        the fingerprint-indexed UCQ store
-     Containment.set_decomposition prescreen + Gaifman-component solving
-
-   With both off the engines are the PR 2 baseline, byte for byte, so an
-   in-process interleaved A/B measures the PR's speedup directly. Arms
-   alternate (baseline, accelerated, baseline, ...) to spread allocator
-   and frequency noise across both; each run starts from a cold
-   containment memo. Every workload also cross-checks that the two arms
-   produce equivalent UCQs.
+(* E2's marked process on phi_R^4 / phi_R^5, E3's level-descent step and
+   the generic piece-rewriting saturation all spend their time in CQ
+   containment and the subsumption-indexed UCQ store. Each workload runs
+   [reps] times from a cold containment memo; the ledger keeps the
+   minimum wall time, the result size and the index's probe counters.
+   The marked workloads also check their theorem's oracle (the expected
+   path disjunct is in the rewriting) and print MISMATCH when it is
+   missing.
 
    FRONTIER_BENCH_SMOKE=1   shrink the workloads (CI smoke sizing)
    FRONTIER_BENCH_JSON=path also write the results as a JSON snapshot *)
 
 let rw () =
-  header "rw"
-    "subsumption-indexed UCQ store + component-decomposed containment (A/B)"
-    "interleaved on/off arms; acceptance: >= 2x on the E2/E3 marked \
-     workloads";
+  header "rw" "containment-bound rewriting: E2, E3, generic saturation"
+    "one containment search, one subsumption-indexed UCQ store; min of \
+     cold-memo runs";
   let smoke = Sys.getenv_opt "FRONTIER_BENCH_SMOKE" <> None in
   let reps = if smoke then 1 else 2 in
-  let set_accel on =
-    Ucq_index.set_indexing on;
-    Containment.set_decomposition on
-  in
-  (* One interleaved A/B measurement: [reps] alternating pairs of runs,
-     min wall time per arm, results from the last rep of each arm. The
-     containment memo is reset before every run so each arm is cold and
-     the arms cannot feed each other verdicts. *)
-  let ab f =
-    let t_off = ref infinity and t_on = ref infinity in
-    let r_off = ref None and r_on = ref None in
-    let ix = ref Ucq_index.{ pairs = 0; pruned = 0 } in
-    let sv = ref Containment.{ splits = 0; prescreened = 0 } in
+  let measure f =
+    let t = ref infinity and out = ref None in
     for _ = 1 to reps do
-      List.iter
-        (fun on ->
-          set_accel on;
-          Containment.reset_memo ();
-          Ucq_index.reset_stats ();
-          Containment.reset_solver_stats ();
-          let v, dt = time_it f in
-          if on then begin
-            if dt < !t_on then t_on := dt;
-            r_on := Some v;
-            ix := Ucq_index.stats ();
-            sv := Containment.solver_stats ()
-          end
-          else begin
-            if dt < !t_off then t_off := dt;
-            r_off := Some v
-          end)
-        [ false; true ]
+      Containment.reset_memo ();
+      Ucq_index.reset_stats ();
+      let v, dt = time_it f in
+      if dt < !t then t := dt;
+      out := Some (v, Ucq_index.stats ())
     done;
-    set_accel true;
-    ( Option.get !r_off, !t_off, Option.get !r_on, !t_on, !ix, !sv )
+    let v, ix = Option.get !out in
+    (v, !t, ix)
   in
   let results = ref [] in
-  let report name steps disjuncts t_off t_on equiv ix sv =
-    row "  %-26s off %8.3fs   on %8.3fs   x%-6.2f %s@." name t_off t_on
-      (t_off /. t_on)
-      (if equiv then "equivalent" else "MISMATCH");
-    row "    %d steps, %d disjuncts; index pruned %d/%d pairs; %d splits, \
-         %d prescreened@."
-      steps disjuncts ix.Ucq_index.pruned ix.Ucq_index.pairs
-      sv.Containment.splits sv.Containment.prescreened;
-    results :=
-      (name, steps, disjuncts, t_off, t_on, equiv, ix, sv) :: !results
+  let report name steps ucq run_s oracle (ix : Ucq_index.stats) =
+    let ok = Option.value ~default:true oracle in
+    row "  %-26s %8.3fs   %d steps, %d disjuncts; index pruned %d/%d \
+         pairs%s@."
+      name run_s steps (Ucq.cardinal ucq) ix.pruned ix.pairs
+      (if ok then "" else "   MISMATCH");
+    results := (name, steps, Ucq.cardinal ucq, run_s, oracle, ix) :: !results
+  in
+  let has_disjunct ucq q = Ucq.exists (fun d -> Containment.isomorphic d q) ucq in
+  let marked name expected f =
+    let r, run_s, ix = measure f in
+    let ucq = r.Marked.Process.rewriting in
+    report name r.Marked.Process.stats.Marked.Process.steps ucq run_s
+      (Some (has_disjunct ucq expected))
+      ix
   in
   (* --- E2: the marked-query process on phi_R^n under T_d ------------- *)
-  let e2_ns = if smoke then [ 3 ] else [ 4; 5 ] in
   List.iter
     (fun n ->
       let _, _, phi = Theories.Zoo.phi_r n in
-      let r_off, t_off, r_on, t_on, ix, sv =
-        ab (fun () -> Marked.Process.rewrite_td phi)
-      in
-      report
+      let _, _, gq = Theories.Zoo.g_path_query (1 lsl n) in
+      marked
         (Printf.sprintf "E2 phi_R^%d (T_d)" n)
-        r_on.Marked.Process.stats.Marked.Process.steps
-        (Ucq.cardinal r_on.Marked.Process.rewriting)
-        t_off t_on
-        (Ucq.equivalent r_off.Marked.Process.rewriting
-           r_on.Marked.Process.rewriting)
-        ix sv)
-    e2_ns;
+        gq
+        (fun () -> Marked.Process.rewrite_td phi))
+    (if smoke then [ 3 ] else [ 4; 5 ]);
   (* --- E3: one level-descent step of a T_d^K tower ------------------- *)
   (* The full-size workload is the level-2 step at length 5 — the exact
      analog of E2's phi_R^5 inside the tower, and the step that
      dominates any deeper descent. *)
   let kk, lvl, n3 = if smoke then (3, 3, 1) else (2, 2, 5) in
   let _, _, phi_i = Theories.Zoo.phi_i lvl n3 in
-  let r_off, t_off, r_on, t_on, ix, sv =
-    ab (fun () -> Marked.Process.rewrite_tdk kk ~max_steps:500_000 phi_i)
-  in
-  report
+  let _, _, path_q = Theories.Zoo.i_path_query (lvl - 1) (1 lsl n3) in
+  marked
     (Printf.sprintf "E3 phi_I%d^%d (T_d^%d)" lvl n3 kk)
-    r_on.Marked.Process.stats.Marked.Process.steps
-    (Ucq.cardinal r_on.Marked.Process.rewriting)
-    t_off t_on
-    (Ucq.equivalent r_off.Marked.Process.rewriting
-       r_on.Marked.Process.rewriting)
-    ix sv;
+    path_q
+    (fun () -> Marked.Process.rewrite_tdk kk ~max_steps:500_000 phi_i);
   (* --- generic piece-rewriting saturation (the E11/ix workload) ------ *)
   let x = Term.var "x" and y = Term.var "y" in
   let q = Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.g2 [ x; y ] ] in
@@ -1025,44 +968,39 @@ let rw () =
         max_steps = 2_000;
       }
   in
-  let r_off, t_off, r_on, t_on, ix, sv =
-    ab (fun () ->
+  let r, run_s, ix =
+    measure (fun () ->
         Rewriting.Rewrite.rewrite ~budget Theories.Zoo.t_d_noloop q)
   in
-  report "generic T_d\\(loop)"
-    r_on.Rewriting.Rewrite.steps
-    (Ucq.cardinal r_on.Rewriting.Rewrite.ucq)
-    t_off t_on
-    (Ucq.equivalent r_off.Rewriting.Rewrite.ucq r_on.Rewriting.Rewrite.ucq)
-    ix sv;
+  report "generic T_d\\(loop)" r.Rewriting.Rewrite.steps
+    r.Rewriting.Rewrite.ucq run_s None ix;
   (* --- optional JSON snapshot ---------------------------------------- *)
   match Sys.getenv_opt "FRONTIER_BENCH_JSON" with
   | None -> ()
   | Some path ->
-      let entry (name, steps, disjuncts, t_off, t_on, equiv, ix, sv) =
+      let entry (name, steps, disjuncts, run_s, oracle, (ix : Ucq_index.stats))
+          =
         Printf.sprintf
           {|    {
       "workload": %S,
       "steps": %d,
       "disjuncts": %d,
-      "baseline_s": %.6f,
-      "accelerated_s": %.6f,
-      "speedup": %.3f,
-      "equivalent": %b,
+      "run_s": %.6f,
+      "oracle": %s,
       "index_pairs": %d,
-      "index_pruned": %d,
-      "component_splits": %d,
-      "prescreened": %d
+      "index_pruned": %d
     }|}
-          name steps disjuncts t_off t_on (t_off /. t_on) equiv
-          ix.Ucq_index.pairs ix.Ucq_index.pruned sv.Containment.splits
-          sv.Containment.prescreened
+          name steps disjuncts run_s
+          (match oracle with None -> "null" | Some b -> string_of_bool b)
+          ix.pairs ix.pruned
       in
       Checkpoint.Atomic_io.write_file path
       @@ Printf.sprintf
            {|{
   "bench": "rw",
-  "note": "interleaved A/B of Ucq_index.set_indexing + Containment.set_decomposition; both off = the PR 2 engines",
+  "note": "single arm: min wall time of cold-memo runs; oracle = the expected path disjunct (Theorem 5(B)/6(B)) is in the rewriting, null where none applies",
+  "command": "%sFRONTIER_BENCH_JSON=%s dune exec bench/main.exe -- rw",
+  "cores": %d,
   "smoke": %b,
   "reps": %d,
   "workloads": [
@@ -1070,6 +1008,9 @@ let rw () =
   ]
 }
 |}
+        (if smoke then "FRONTIER_BENCH_SMOKE=1 " else "")
+        path
+        (Domain.recommended_domain_count ())
         smoke reps
         (String.concat ",\n" (List.rev_map entry !results));
       row "  json snapshot written to %s@." path

@@ -370,11 +370,8 @@ let rewrite_cmd =
         if stats then begin
           Fmt.pr "%a@." Frontier.Saturation.Stats.pp
             r.Frontier.Rewrite.kernel_stats;
-          Fmt.pr
-            "solver: %d candidate pairs pruned by the subsumption index, \
-             %d containment searches split into components@."
-            r.Frontier.Rewrite.index_pruned
-            r.Frontier.Rewrite.component_splits;
+          Fmt.pr "solver: %d candidate pairs pruned by the subsumption index@."
+            r.Frontier.Rewrite.index_pruned;
           print_engine_stats es0;
           print_checkpoint_stats ()
         end;
@@ -396,9 +393,8 @@ let rewrite_cmd =
       & info [ "stats" ]
           ~doc:
             "Print the saturation kernel's counters (rounds, frontier \
-             expansions, admissions, dedups), the solver counters (pairs \
-             pruned by the UCQ subsumption index, containment searches \
-             decomposed into Gaifman components), and the engine \
+             expansions, admissions, dedups), the solver counter (pairs \
+             pruned by the UCQ subsumption index), and the engine \
              telemetry: compiled-join searches and register ops, \
              posting-list probes, and the parallel cost gate's \
              inline/fan-out batch split.")

@@ -377,8 +377,7 @@ end
    a chase result, the benchmark's A/B reps — amortize the sorted-view
    build exactly as the register machine amortizes its join index
    inside [Fact_set]. Small sets skip the cache: their build is cheaper than
-   the eviction pressure they would put on the million-fact entries
-   (containment probes churn through thousands of tiny targets). *)
+   the eviction pressure they would put on the million-fact entries. *)
 let prepared_cache_max = 4
 let prepared_cache_min_facts = 4096
 let prepared_cache : (Fact_set.t * Prepared.t) list ref = ref []
@@ -929,24 +928,3 @@ module Match = struct
         Homomorphism.iter_multi ~flexible ~pattern ~domain_bindings f
     | Ground -> f Term.Map.empty
 end
-
-(* ------------------------------------------------------------------ *)
-(* Containment probe registration                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Plan-time engine selection for boolean existence probes: below this
-   target size the sorted-view build costs more than the whole
-   register-machine search (containment targets are query bodies of a
-   few dozen atoms), so the plan delegates; at or above it the leapfrog
-   join runs. Either engine decides the same verdict. *)
-let probe_leapfrog_min = 64
-
-let () =
-  Eval_hook.register (fun ~init ~flexible ~pattern ~target ->
-      let p = compile_pieces ~init ~flexible ~free:[] pattern in
-      match p.p_compiled with
-      | None -> None
-      | Some c ->
-          if Fact_set.cardinal target < probe_leapfrog_min then
-            Some (Homomorphism.exists (legacy_problem p target))
-          else Some (exists_compiled c (prepared_for target)))

@@ -17,11 +17,11 @@
     The same module is the single entry point for every other matcher in
     the codebase: {!Match} hosts the order-pinned trigger enumeration
     the chase engine uses (delegating to the register-machine engine —
-    trigger {e order} names fresh nulls, so it must stay bit-identical),
-    and at module initialization an existence probe is registered in
-    {!Eval_hook} for the containment solver. Queries the leapfrog
-    compiler declines run on the register machine
-    ({!Homomorphism.iter}) instead. *)
+    trigger {e order} names fresh nulls, so it must stay bit-identical).
+    Containment checks between query bodies stay on the register machine
+    in [logic]: their targets are a few dozen atoms, below the size where
+    a sorted-view build pays. Queries the leapfrog compiler declines run
+    on the register machine ({!Homomorphism.iter}) instead. *)
 
 open Logic
 

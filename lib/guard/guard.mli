@@ -50,9 +50,8 @@ type counters = {
 
 (** The one outcome type every long-running entry point derives:
     ['a] is the completed result, ['p] the partial state salvaged at a
-    trip. The bespoke [Engine.hit_atom_budget], [Termination.
-    Budget_exhausted] and [Entailment.Unknown] signals are derived views
-    of this. *)
+    trip. The bespoke [Termination.Budget_exhausted] and
+    [Entailment.Unknown] signals are derived views of this. *)
 type ('a, 'p) outcome =
   | Complete of 'a
   | Exhausted of { partial : 'p; cause : cause; progress : counters }

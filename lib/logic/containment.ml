@@ -1,117 +1,15 @@
-let hom_problem ~from ~into ~extra_ok =
-  (* A homomorphism from query [from] to query [into], mapping answer
-     variables positionally. *)
-  if List.length (Cq.free from) <> List.length (Cq.free into) then None
-  else
-    let init =
-      List.fold_left2
-        (fun m v w -> Term.Map.add v w m)
-        Term.Map.empty (Cq.free from) (Cq.free into)
-    in
-    Some
-      (Homomorphism.make ~init ~image_ok:extra_ok
-         ~flexible:(Cq.var_set from)
-         ~pattern:(Cq.atoms from)
-         ~target:(Cq.as_fact_set into) ())
-
-(* ------------------------------------------------------------------ *)
-(* Decomposed solving                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* A/B switch over the solver-side accelerations: the
-   fingerprint prescreen ([Cq.hom_feasible]), the component
-   decomposition of the pattern, and the connectivity tie-break in the
-   search plan. Off restores the monolithic engine verbatim. *)
-let decomp_on = Atomic.make true
-let set_decomposition b = Atomic.set decomp_on b
-let decomposition_enabled () = Atomic.get decomp_on
-
+(* Kept for the benchmark worker, which still reads these counters;
+   nothing counts them, so both read 0. *)
 type solver_stats = { splits : int; prescreened : int }
 
-let c_splits = Atomic.make 0
-let c_prescreened = Atomic.make 0
+let solver_stats () = { splits = 0; prescreened = 0 }
+let reset_solver_stats () = ()
 
-let solver_stats () =
-  { splits = Atomic.get c_splits; prescreened = Atomic.get c_prescreened }
-
-let reset_solver_stats () =
-  Atomic.set c_splits 0;
-  Atomic.set c_prescreened 0
-
-exception Found
-
-(* Static connectivity weights for the seed-selection tie-break: an
-   atom scores the total occurrence count (over the whole pattern) of
-   the existential variables it binds, so at equal bound counts the
-   search extends through the most shared variables first. *)
-let connectivity_tie_break ~free atoms =
-  let occ : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun (t : Term.t) ->
-          if Term.is_var t && not (Term.Set.mem t free) then
-            Hashtbl.replace occ t.Term.id
-              (1 + Option.value ~default:0 (Hashtbl.find_opt occ t.Term.id)))
-        (Atom.args a))
-    atoms;
-  let weights : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      let w =
-        List.fold_left
-          (fun acc (t : Term.t) ->
-            if Term.is_var t && not (Term.Set.mem t free) then
-              acc + Option.value ~default:0 (Hashtbl.find_opt occ t.Term.id)
-            else acc)
-          0 (Atom.args a)
-      in
-      Hashtbl.replace weights (Atom.hash a) w)
-    atoms;
-  fun a -> Option.value ~default:0 (Hashtbl.find_opt weights (Atom.hash a))
-
-(* Solve the containment homomorphism [from -> into] one connected
-   component of [from]'s body at a time: components share no bindable
-   variable (answer variables are pre-bound, constants and functional
-   terms rigid), so the conjunction holds iff each component embeds
-   independently — a product of small searches with early exit instead
-   of one deep one. Components are tried smallest-first. *)
-let exists_decomposed ~from ~into ~init =
-  let flexible = Cq.var_set from in
-  let target = Cq.as_fact_set into in
-  let free = Term.Set.of_list (Cq.free from) in
-  let exists_component atoms =
-    (* The plan layer (lib/eval) registers an existence probe at link
-       time; it answers with its own engine selection, or declines
-       ([None]) problems it cannot compile — then, and in programs that
-       never link the plan layer, the in-library search runs. *)
-    let planned =
-      match Eval_hook.probe () with
-      | Some probe -> probe ~init ~flexible ~pattern:atoms ~target
-      | None -> None
-    in
-    match planned with
-    | Some verdict -> verdict
-    | None -> (
-        let tie_break = connectivity_tie_break ~free atoms in
-        try
-          Homomorphism.iter_multi ~init ~tie_break ~flexible
-            ~pattern:(List.map (fun a -> (a, target)) atoms)
-            ~domain_bindings:[]
-            (fun _ -> raise Found);
-          false
-        with Found -> true)
-  in
-  match Cq.body_components from with
-  | [ _ ] -> exists_component (Cq.atoms from)
-  | comps ->
-      Atomic.incr c_splits;
-      let by_size =
-        List.stable_sort
-          (fun a b -> Int.compare (List.length a) (List.length b))
-          comps
-      in
-      List.for_all exists_component by_size
+(* Answer variables correspond positionally: [from]'s map to [into]'s. *)
+let free_init ~from ~into =
+  List.fold_left2
+    (fun m v w -> Term.Map.add v w m)
+    Term.Map.empty (Cq.free from) (Cq.free into)
 
 let implies q1 q2 =
   (* Necessary condition first: a homomorphism [q2 -> q1] maps each atom
@@ -119,25 +17,12 @@ let implies q1 q2 =
      occur in [q1]. One [land] on cached signature fingerprints rejects
      most negative checks before any search. *)
   Cq.sig_mask q2 land lnot (Cq.sig_mask q1) = 0
-  &&
-  if Atomic.get decomp_on then
-    if List.length (Cq.free q2) <> List.length (Cq.free q1) then false
-    else if not (Cq.hom_feasible ~from:q2 ~into:q1) then begin
-      (* Anchor or distance-profile refutation: no search at all. *)
-      Atomic.incr c_prescreened;
-      false
-    end
-    else
-      let init =
-        List.fold_left2
-          (fun m v w -> Term.Map.add v w m)
-          Term.Map.empty (Cq.free q2) (Cq.free q1)
-      in
-      exists_decomposed ~from:q2 ~into:q1 ~init
-  else
-    match hom_problem ~from:q2 ~into:q1 ~extra_ok:(fun _ _ -> true) with
-    | None -> false
-    | Some p -> Homomorphism.exists p
+  && List.length (Cq.free q2) = List.length (Cq.free q1)
+  && Homomorphism.exists
+       (Homomorphism.make
+          ~init:(free_init ~from:q2 ~into:q1)
+          ~flexible:(Cq.var_set q2) ~pattern:(Cq.atoms q2)
+          ~target:(Cq.as_fact_set q1) ())
 
 (* ------------------------------------------------------------------ *)
 (* Memoized containment                                                *)
@@ -156,9 +41,6 @@ let implies q1 q2 =
 
 type memo_stats = { hits : int; misses : int; entries : int }
 
-let memo_on = Atomic.make true
-let set_memoization b = Atomic.set memo_on b
-let memoization_enabled () = Atomic.get memo_on
 let m_hits = Atomic.make 0
 let m_misses = Atomic.make 0
 
@@ -196,7 +78,6 @@ let reset_memo () =
 let implies_memo q1 q2 =
   if q1 == q2 then true
   else if List.length (Cq.free q1) <> List.length (Cq.free q2) then false
-  else if not (Atomic.get memo_on) then implies q1 q2
   else
     let k1 = Cq.canon_id q1 and k2 = Cq.canon_id q2 in
     if k1 = k2 then true (* isomorphic, hence mutually containing *)
@@ -229,7 +110,6 @@ let memo_probe q1 q2 =
   if q1 == q2 then Some true
   else if List.length (Cq.free q1) <> List.length (Cq.free q2) then
     Some false
-  else if not (Atomic.get memo_on) then None
   else
     let k1 = Cq.canon_id q1 and k2 = Cq.canon_id q2 in
     if k1 = k2 then Some true (* isomorphic, hence mutually containing *)
@@ -244,57 +124,36 @@ let memo_probe q1 q2 =
 
 let equivalent q1 q2 = implies q1 q2 && implies q2 q1
 
-(* NB: [isomorphic] stays monolithic even with decomposition on — the
-   injectivity requirement couples components, so they cannot be solved
-   independently. Invariants still apply as *prescreens*: the 1-WL
-   color-refinement arrays must agree (this is what separates same-shape
-   queries that differ only in which symmetric node carries a
-   distinguishing atom — the dominant refutation case when classifying
-   markings), and an isomorphism is in particular a homomorphism each
-   way, so both directions must be hom-feasible. With the toggle on the
-   search itself then runs in injective mode, failing a clashing binding
-   the moment it is attempted instead of enumerating every (mostly
-   non-injective) homomorphism and filtering afterwards. *)
+(* The injectivity requirement couples components, so [isomorphic] is one
+   search. Invariants run first as prescreens: the 1-WL color-refinement
+   arrays must agree (this is what separates same-shape queries that
+   differ only in which symmetric node carries a distinguishing atom —
+   the dominant refutation case when classifying markings), and an
+   isomorphism is in particular a homomorphism each way, so both
+   directions must be hom-feasible. The search then runs in injective
+   mode, failing a clashing binding the moment it is attempted instead
+   of enumerating every (mostly non-injective) homomorphism and
+   filtering afterwards. *)
 let isomorphic q1 q2 =
   Cq.size q1 = Cq.size q2
   && List.length (Cq.vars q1) = List.length (Cq.vars q2)
   && String.equal (Cq.iso_key q1) (Cq.iso_key q2)
+  && List.length (Cq.free q1) = List.length (Cq.free q2)
+  && Cq.wl_equal q1 q2
+  && Cq.hom_feasible ~from:q1 ~into:q2
+  && Cq.hom_feasible ~from:q2 ~into:q1
   &&
-  if Atomic.get decomp_on then
-    List.length (Cq.free q1) = List.length (Cq.free q2)
-    && Cq.wl_equal q1 q2
-    && Cq.hom_feasible ~from:q1 ~into:q2
-    && Cq.hom_feasible ~from:q2 ~into:q1
-    &&
-    let init =
-      List.fold_left2
-        (fun m v w -> Term.Map.add v w m)
-        Term.Map.empty (Cq.free q1) (Cq.free q2)
-    in
-    let target = Cq.as_fact_set q2 in
-    let free = Term.Set.of_list (Cq.free q1) in
-    let tie_break = connectivity_tie_break ~free (Cq.atoms q1) in
-    (try
-       Homomorphism.iter_multi ~init ~tie_break ~injective:true
-         ~flexible:(Cq.var_set q1)
-         ~pattern:(List.map (fun a -> (a, target)) (Cq.atoms q1))
-         ~domain_bindings:[]
-         (fun _ -> raise Found);
-       false
-     with Found -> true)
-  else
-    match hom_problem ~from:q1 ~into:q2 ~extra_ok:(fun _ _ -> true) with
-    | None -> false
-    | Some p -> (
-        let injective m =
-          let images = Term.Map.fold (fun _ u acc -> u :: acc) m [] in
-          List.length images
-          = Term.Set.cardinal (Term.Set.of_list images)
-        in
-        try
-          Homomorphism.iter p (fun m -> if injective m then raise Found);
-          false
-        with Found -> true)
+  let exception Found in
+  let target = Cq.as_fact_set q2 in
+  try
+    Homomorphism.iter_multi
+      ~init:(free_init ~from:q1 ~into:q2)
+      ~injective:true ~flexible:(Cq.var_set q1)
+      ~pattern:(List.map (fun a -> (a, target)) (Cq.atoms q1))
+      ~domain_bindings:[]
+      (fun _ -> raise Found);
+    false
+  with Found -> true
 
 let core_of_query q =
   let redundant q atom =
@@ -310,10 +169,7 @@ let core_of_query q =
            isomorphic subquery pairs). The subsumption-index fingerprint
            probe refutes most non-redundant candidates before even the
            memo table is consulted. *)
-        if
-          decomposition_enabled ()
-          && not (Ucq_index.pair_feasible ~from:q ~into:smaller)
-        then None
+        if not (Ucq_index.pair_feasible ~from:q ~into:smaller) then None
         else if implies_memo smaller q then Some smaller
         else None
   in

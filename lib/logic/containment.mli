@@ -11,13 +11,9 @@ val implies : Cq.t -> Cq.t -> bool
 (** [implies q1 q2]: answers(q1) is a subset of answers(q2) on every
     structure. Requires equally long free-variable lists.
 
-    With {!set_decomposition} on (the default), the certifying
-    homomorphism search is prescreened by the fingerprint battery of
-    {!Cq.hom_feasible}, decomposed into the connected components of the
-    pattern's Gaifman graph (solved independently, smallest first, with
-    early exit on the first failing component) and seeded with a
-    connectivity-driven tie-break in the compiled search plan. The
-    verdict is identical either way. *)
+    The signature fingerprints ({!Cq.sig_mask}) refute first; otherwise
+    one {!Homomorphism.exists} search decides. Callers that probe many
+    pairs prescreen with {!Ucq_index} fingerprints before calling. *)
 
 val implies_memo : Cq.t -> Cq.t -> bool
 (** [implies] with the verdict memoized under the pair of canonical query
@@ -52,34 +48,11 @@ val memo_stats : unit -> memo_stats
 val reset_memo : unit -> unit
 (** Empty the containment cache and zero the hit/miss counters. *)
 
-val set_memoization : bool -> unit
-(** A/B switch for benchmarking: [set_memoization false] makes
-    [implies_memo] recompute every verdict (the cache is neither read nor
-    written). Defaults to [true]. *)
-
-val memoization_enabled : unit -> bool
-(** Current state of the {!set_memoization} switch — lets dependent caches
-    (e.g. the rewriting engines' candidate dedup) follow the same A/B
-    toggle. *)
-
-(** {1 Decomposed solving} *)
-
-val set_decomposition : bool -> unit
-(** A/B switch over the solver-side accelerations of {!implies}: the
-    fingerprint prescreen, the Gaifman-component decomposition of the
-    pattern and the connectivity tie-break in the search plan.
-    [set_decomposition false] restores the monolithic PR 2 solver
-    verbatim. Defaults to [true]. Verdicts are identical either way —
-    the property the differential suite checks. *)
-
-val decomposition_enabled : unit -> bool
+(** {1 Legacy solver counters} *)
 
 type solver_stats = {
-  splits : int;
-      (** [implies] calls whose pattern split into >= 2 components *)
-  prescreened : int;
-      (** [implies] calls refuted by anchor/distance fingerprints alone
-          (beyond the [sig_mask] test the monolithic path also has) *)
+  splits : int;  (** always 0: containment no longer splits patterns *)
+  prescreened : int;  (** always 0: the in-[implies] prescreen is gone *)
 }
 
 val solver_stats : unit -> solver_stats

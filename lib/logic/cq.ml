@@ -7,8 +7,6 @@ type t = {
   mutable sig_mask : int;  (* cached signature fingerprint; 0 = not yet *)
   mutable anchors : int;  (* cached anchor fingerprint; -1 = not yet *)
   mutable profile : int array option;  (* cached distance profile *)
-  mutable ecomps : Atom.t list list option;
-      (* cached existential-connectivity components of the body *)
   mutable wl : int array option;  (* cached [wl_colors] *)
 }
 
@@ -63,7 +61,6 @@ let make ~free atoms =
     sig_mask = 0;
     anchors = -1;
     profile = None;
-    ecomps = None;
     wl = None;
   }
 
@@ -364,66 +361,6 @@ let wl_hash q = Array.fold_left wl_mix 0x1fd3 (wl_colors q)
 let wl_equal q1 q2 =
   let c1 = wl_colors q1 and c2 = wl_colors q2 in
   Array.length c1 = Array.length c2 && Array.for_all2 Int.equal c1 c2
-
-(* Connected components of the body under *shared existential
-   variables in argument position* — exactly the coupling the search
-   engine sees: answer variables are pre-bound (rigid), constants and
-   functional terms are matched literally, and a variable occurring
-   only inside a functional term never receives a binding from that
-   argument slot. Two atoms in different components constrain disjoint
-   sets of bindable variables, so a conjunctive match exists iff each
-   component matches independently. *)
-let body_components q =
-  match q.ecomps with
-  | Some c -> c
-  | None ->
-      let fv = Term.Set.of_list q.free in
-      let atoms = Array.of_list q.atoms in
-      let n = Array.length atoms in
-      let parent = Array.init n Fun.id in
-      let rec find i =
-        if parent.(i) = i then i
-        else begin
-          let r = find parent.(i) in
-          parent.(i) <- r;
-          r
-        end
-      in
-      let union i j =
-        let ri = find i and rj = find j in
-        if ri <> rj then parent.(ri) <- rj
-      in
-      let last : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      Array.iteri
-        (fun i a ->
-          List.iter
-            (fun (t : Term.t) ->
-              if Term.is_var t && not (Term.Set.mem t fv) then begin
-                (match Hashtbl.find_opt last t.Term.id with
-                | Some j -> union i j
-                | None -> ());
-                Hashtbl.replace last t.Term.id i
-              end)
-            (Atom.args a))
-        atoms;
-      let groups : (int, Atom.t list) Hashtbl.t = Hashtbl.create 8 in
-      let order = ref [] in
-      Array.iteri
-        (fun i a ->
-          let r = find i in
-          match Hashtbl.find_opt groups r with
-          | Some l -> Hashtbl.replace groups r (a :: l)
-          | None ->
-              order := r :: !order;
-              Hashtbl.replace groups r [ a ])
-        atoms;
-      let comps =
-        List.rev_map
-          (fun r -> List.rev (Hashtbl.find groups r))
-          !order
-      in
-      q.ecomps <- Some comps;
-      comps
 
 let exist_vars q =
   let fv = Term.Set.of_list q.free in

@@ -14,8 +14,6 @@ type t = private {
   mutable sig_mask : int;  (** cached [sig_mask]; [0] until first computed *)
   mutable anchors : int;  (** cached [anchor_mask]; [-1] until computed *)
   mutable profile : int array option;  (** cached [hom_profile] *)
-  mutable ecomps : Atom.t list list option;
-      (** cached [body_components] *)
   mutable wl : int array option;  (** cached [wl_colors] *)
 }
 
@@ -85,14 +83,6 @@ val wl_hash : t -> int
 
 val wl_equal : t -> t -> bool
 (** Equality of [wl_colors]: a necessary condition for isomorphism. *)
-
-val body_components : t -> Atom.t list list
-(** Connected components of the body atoms under shared existential
-    variables in argument position (answer variables, constants and
-    functional terms are rigid for the match and do not couple atoms).
-    Atoms keep their body order inside each component; components are
-    ordered by first atom. A homomorphism fixing the rigid terms exists
-    iff one exists per component independently. Cached. *)
 
 val exist_vars : t -> Term.t list
 val is_boolean : t -> bool

@@ -67,8 +67,7 @@ let reset_counters () =
    homomorphism reaches the caller.
 
    Enumeration order: each search node picks its seed atom dynamically,
-   most-bound first (first maximum in pattern order, [tie_break]
-   higher-first on ties), and visits the seed's candidate rows in the
+   most-bound first (first maximum in pattern order), and visits the seed's candidate rows in the
    index's canonical order — newest layer first, ascending rows — which
    does not depend on the posting the index seeds from, because every
    position is re-checked here. With [prefer], a node's rows are first
@@ -76,7 +75,7 @@ let reset_counters () =
    tried first and equal ranks keep the canonical order. The chase names
    its nulls in this order, so it is part of the engine's contract. *)
 let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
-    ?prefer ?tie_break ?(injective = false) ~flexible ~pattern
+    ?prefer ?(injective = false) ~flexible ~pattern
     ~domain_bindings f =
   (* -- compile: registers, slot arrays, pools ---------------------- *)
   let reg_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -105,11 +104,6 @@ let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
             if Term.Set.mem t flexible then -(reg_for t) - 1 else t.Term.id)
           a.Atom.args)
       patoms
-  in
-  let tb_arr =
-    match tie_break with
-    | None -> Array.make (max 1 m) 0
-    | Some tb -> Array.map tb patoms
   in
   let dentries = Array.of_list domain_bindings in
   let nd = Array.length dentries in
@@ -204,8 +198,8 @@ let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
     else begin
       incr nodes;
       (* Most-bound-first seed over the alive mask: first maximum in
-         pattern order, ties to the higher [tie_break]. *)
-      let best = ref (-1) and bn = ref (-1) and bt = ref min_int in
+         pattern order. *)
+      let best = ref (-1) and bn = ref (-1) in
       for j = 0 to m - 1 do
         if alive.(j) then begin
           let sl = slots.(j) in
@@ -214,10 +208,9 @@ let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
             let c = Array.unsafe_get sl pos in
             if c >= 0 || Array.unsafe_get reg_val (-c - 1) >= 0 then incr n
           done;
-          if !n > !bn || (!n = !bn && tb_arr.(j) > !bt) then begin
+          if !n > !bn then begin
             best := j;
-            bn := !n;
-            bt := tb_arr.(j)
+            bn := !n
           end
         end
       done;

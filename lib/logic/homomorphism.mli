@@ -46,7 +46,6 @@ val iter_multi :
   ?init:mapping ->
   ?image_ok:(Term.t -> Term.t -> bool) ->
   ?prefer:(Atom.t -> int) ->
-  ?tie_break:(Atom.t -> int) ->
   ?injective:bool ->
   flexible:Term.Set.t ->
   pattern:(Atom.t * Fact_set.t) list ->
@@ -55,16 +54,12 @@ val iter_multi :
   unit
 (** Generalized engine: each pattern atom carries its own target (the
     semi-naive chase partitions body atoms between old/delta/full stages)
-    and each domain variable its own candidate pool. [tie_break] ranks
-    pattern atoms (higher first) when the dynamic most-bound-first seed
-    selection ties — e.g. by static connectivity, so the atom most
-    entangled with the rest of the pattern is matched next. It permutes
-    the enumeration order of homomorphisms but never changes which
-    mappings exist. [injective] (default false) restricts the
-    enumeration to mappings with pairwise-distinct images ([init]
-    included), pruning a clashing binding the moment it is attempted —
-    the same mappings a post-hoc injectivity filter would keep, without
-    exhausting the non-injective search space first. *)
+    and each domain variable its own candidate pool. [injective]
+    (default false) restricts the enumeration to mappings with
+    pairwise-distinct images ([init] included), pruning a clashing
+    binding the moment it is attempted — the same mappings a post-hoc
+    injectivity filter would keep, without exhausting the non-injective
+    search space first. *)
 
 val apply : mapping -> flexible:Term.Set.t -> Atom.t -> Atom.t
 (** Apply a mapping to an atom, positionally and atomically: each argument
@@ -77,9 +72,8 @@ val apply : mapping -> flexible:Term.Set.t -> Atom.t -> Atom.t
     stream off the fact set's packed id slabs, and backtracking pops a
     trail — no allocation per candidate, terms rematerialized only for
     complete homomorphisms. Each search node picks the most-bound alive
-    pattern atom (first in pattern order, ties to the higher
-    [tie_break]) and visits its candidate facts in {!Fact_set}'s index
-    order, stably re-sorted by [prefer]'s rank when one is given — an
+    pattern atom (first in pattern order) and visits its candidate facts
+    in {!Fact_set}'s index order, stably re-sorted by [prefer]'s rank when one is given — an
     order the chase's null naming depends on. These process-wide
     counters measure the engine; thread-safe. *)
 

@@ -14,10 +14,9 @@
    it.
 
    Entries live in insertion order with a tombstone flag; reading the
-   live entries newest-first reproduces exactly the disjunct order the
-   unindexed reference engine maintains ([q :: kept]), so the indexed
-   and reference engines can produce identical UCQs, not merely
-   equivalent ones. *)
+   live entries newest-first reproduces exactly the disjunct order of
+   the plain list fold [q :: kept], so the store yields the same UCQ as
+   that fold, not merely an equivalent one. *)
 
 type entry = {
   q : Cq.t;
@@ -31,12 +30,6 @@ type t = {
   mutable n : int;  (* used slots, dead or alive *)
   mutable n_live : int;
 }
-
-(* A/B switch, following the [Containment.set_memoization]
-   convention. *)
-let indexing = Atomic.make true
-let set_indexing b = Atomic.set indexing b
-let indexing_enabled () = Atomic.get indexing
 
 (* Process-wide probe instrumentation (for [--stats] and the bench
    harness). *)
@@ -101,7 +94,7 @@ let add idx q =
   idx.n <- idx.n + 1;
   idx.n_live <- idx.n_live + 1
 
-(* Live disjuncts, newest first — the reference engine's order. *)
+(* Live disjuncts, newest first — the list fold's order. *)
 let disjuncts idx =
   let acc = ref [] in
   for i = 0 to idx.n - 1 do
@@ -120,7 +113,7 @@ let feasible_victim ~(d : entry) ~(q : Cq.t) ~qocc =
   occ_supported ~from:qocc ~into:d.occ && Cq.hom_feasible ~from:q ~into:d.q
 
 (* [covered idx q ~implies]: is [q] subsumed by some live disjunct?
-   Probes newest-first, like the reference list scan. *)
+   Probes newest-first, like a list scan. *)
 let covered idx q ~implies =
   let qocc = occ_vector q in
   let rec scan i =

@@ -91,6 +91,39 @@ let implies q1 q2 =
   in
   exists ~init ~flexible:(Cq.var_set q2) (Cq.atoms q2) (Cq.atoms q1)
 
+(* The minimal-UCQ insertion on a newest-first disjunct list: [None]
+   when a kept disjunct covers [q], otherwise [q] in front of the
+   disjuncts it does not cover. *)
+let add_minimal kept q =
+  if List.exists (fun d -> implies q d) kept then None
+  else Some (q :: List.filter (fun d -> not (implies d q)) kept)
+
+(* Isomorphism: a homomorphism [q1 -> q2] (answer variables positionally)
+   that is a bijection of variables; with equally many variables and
+   atoms it maps the body onto [q2]'s. *)
+let isomorphic q1 q2 =
+  List.length (Cq.free q1) = List.length (Cq.free q2)
+  && Cq.size q1 = Cq.size q2
+  && List.length (Cq.vars q1) = List.length (Cq.vars q2)
+  &&
+  let init =
+    List.fold_left2
+      (fun m v w -> Term.Map.add v w m)
+      Term.Map.empty (Cq.free q1) (Cq.free q2)
+  in
+  let exception Found in
+  let bijective m =
+    let images = List.map snd (Term.Map.bindings m) in
+    List.for_all Term.is_var images
+    && List.length (List.sort_uniq Term.compare images) = List.length images
+  in
+  match
+    iter ~init ~flexible:(Cq.var_set q1) (Cq.atoms q1) (Cq.atoms q2) (fun m ->
+        if bijective m then raise Found)
+  with
+  | () -> false
+  | exception Found -> true
+
 (* A core of [q]: drop body atoms while the rest is still a retract
    (the query maps into it fixing its answer variables). *)
 let core q =

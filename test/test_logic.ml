@@ -256,7 +256,25 @@ let test_isomorphism () =
   let edge = Cq.make ~free:[] [ atom e [ x; y ] ] in
   Alcotest.(check bool) "equivalent" true (Containment.equivalent copies edge);
   Alcotest.(check bool) "but not isomorphic" false
-    (Containment.isomorphic copies edge)
+    (Containment.isomorphic copies edge);
+  (* Three directed triangles vs a triangle plus a 6-cycle: same size,
+     same variable count, every variable of in- and out-degree 1 (equal
+     WL colors and [iso_key]), and homomorphisms both ways (the 6-cycle
+     wraps twice around a triangle) — but no isomorphism. Only the
+     injectivity of the search tells them apart. *)
+  let cycle prefix n =
+    let var i = v (Printf.sprintf "%s%d" prefix (i mod n)) in
+    List.init n (fun i -> atom e [ var i; var (i + 1) ])
+  in
+  let triangles =
+    Cq.make ~free:[] (cycle "ta" 3 @ cycle "tb" 3 @ cycle "tc" 3)
+  in
+  let mixed = Cq.make ~free:[] (cycle "ma" 3 @ cycle "mb" 6) in
+  Alcotest.(check bool) "triangles ~ triangle + hexagon" true
+    (Containment.equivalent triangles mixed);
+  Alcotest.(check bool) "but not isomorphic either way" false
+    (Containment.isomorphic triangles mixed
+    || Containment.isomorphic mixed triangles)
 
 let test_query_core () =
   let x = v "x" and y = v "y" and z = v "z" in

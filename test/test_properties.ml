@@ -140,7 +140,7 @@ let prop_engine_matches_naive_reference =
       let theory = decode_theory trules in
       let d = decode_instance inst in
       let run = Chase.Engine.run ~max_depth ~max_atoms theory d in
-      QCheck.assume (not (Chase.Engine.hit_atom_budget run));
+      QCheck.assume (Chase.Engine.interrupted run <> Some Guard.Fuel);
       let stages, naive_saturated =
         naive_chase ~max_stages:max_depth theory d
       in
@@ -171,8 +171,8 @@ let prop_parallel_chase_deterministic =
           let par = Chase.Engine.run ~pool ~max_depth ~max_atoms theory d in
           Chase.Engine.depth par = Chase.Engine.depth seq
           && Chase.Engine.saturated par = Chase.Engine.saturated seq
-          && Chase.Engine.hit_atom_budget par
-             = Chase.Engine.hit_atom_budget seq
+          && (Chase.Engine.interrupted par = Some Guard.Fuel)
+             = (Chase.Engine.interrupted seq = Some Guard.Fuel)
           && List.for_all
                (fun i ->
                  Fact_set.equal
@@ -327,7 +327,7 @@ let prop_zoo_chase_matches_naive_reference =
       List.for_all
         (fun pool ->
           let run = Chase.Engine.run ?pool ~max_depth ~max_atoms theory d in
-          QCheck.assume (not (Chase.Engine.hit_atom_budget run));
+          QCheck.assume (Chase.Engine.interrupted run <> Some Guard.Fuel);
           List.length stages = Chase.Engine.depth run + 1
           && Chase.Engine.saturated run = naive_saturated
           && List.for_all2 Fact_set.equal stages
@@ -353,11 +353,11 @@ let naive_rewrite ~max_steps ~max_atoms theory q =
   let store = ref [] in
   (* Keep [q'] unless a stored disjunct covers it; drop those it covers. *)
   let add_minimal q' =
-    if List.exists (fun d -> Naive.implies q' d) !store then false
-    else begin
-      store := q' :: List.filter (fun d -> not (Naive.implies d q')) !store;
-      true
-    end
+    match Naive.add_minimal !store q' with
+    | None -> false
+    | Some kept ->
+        store := kept;
+        true
   in
   let exception Out_of_budget in
   let push q' =
@@ -412,7 +412,7 @@ let prop_kernel_rewriting_matches_naive_reference =
             [ None; Some pool4 ])
 
 (* ------------------------------------------------------------------ *)
-(* Subsumption index & decomposed containment vs the reference engines *)
+(* Subsumption index & containment vs the naive references           *)
 (* ------------------------------------------------------------------ *)
 
 (* CQs with 0-2 answer variables over the x0..x3 pool; the random mix
@@ -436,56 +436,122 @@ let decode_cq (atoms_enc, f0, f1) =
 let cq_arb =
   QCheck.(triple (list_of_size Gen.(1 -- 4) atom_arb) bool bool)
 
-let with_indexing on f =
-  let prev = Ucq_index.indexing_enabled () in
-  Ucq_index.set_indexing on;
-  Fun.protect ~finally:(fun () -> Ucq_index.set_indexing prev) f
-
-let with_decomposition on f =
-  let prev = Containment.decomposition_enabled () in
-  Containment.set_decomposition on;
-  Fun.protect ~finally:(fun () -> Containment.set_decomposition prev) f
-
 let prop_indexed_store_matches_reference =
   (* The indexed UCQ store must reproduce the reference minimization
      *exactly* — same disjuncts in the same order, not just an
      equivalent set — both through the batch [of_list] and through
-     incremental [add_minimal] chains. *)
+     incremental [add_minimal] chains. The reference is the plain list
+     fold over the naive Chandra–Merlin check, in [q :: kept] order. *)
   QCheck.Test.make ~count
     ~name:"Ucq store: indexed of_list/add_minimal = unindexed reference"
     QCheck.(list_of_size Gen.(0 -- 8) cq_arb)
     (fun encs ->
       let qs = List.map decode_cq encs in
-      let batch on = with_indexing on (fun () -> Ucq.of_list qs) in
-      let incremental on =
-        with_indexing on (fun () ->
-            List.fold_left
-              (fun u q -> fst (Ucq.add_minimal u q))
-              Ucq.empty qs)
+      let reference =
+        List.fold_left
+          (fun kept q -> Option.value ~default:kept (Naive.add_minimal kept q))
+          [] qs
       in
-      let same u1 u2 =
-        Ucq.cardinal u1 = Ucq.cardinal u2
-        && List.for_all2 ( == ) (Ucq.disjuncts u1) (Ucq.disjuncts u2)
+      let incremental =
+        List.fold_left (fun u q -> fst (Ucq.add_minimal u q)) Ucq.empty qs
       in
-      same (batch false) (batch true)
-      && same (incremental false) (incremental true))
+      let same u =
+        Ucq.cardinal u = List.length reference
+        && List.for_all2 ( == ) (Ucq.disjuncts u) reference
+      in
+      same (Ucq.of_list qs) && same incremental)
 
-let prop_decomposed_implies_matches_monolithic =
-  (* Gaifman-component decomposition (plus the fingerprint prescreen and
-     the connectivity-driven seed ordering) must agree with the
-     monolithic PR 2 solver on every verdict, in both directions. *)
+let prop_implies_matches_naive =
+  (* The one containment search (signature prescreen, free-arity check,
+     register-machine homomorphism search) against the naive
+     Chandra–Merlin check, in both directions and reflexively. *)
   QCheck.Test.make ~count
-    ~name:"Containment.implies: decomposed = monolithic, both directions"
+    ~name:"Containment.implies = Naive.implies, both directions"
     QCheck.(pair cq_arb cq_arb)
     (fun (enc1, enc2) ->
       let q1 = decode_cq enc1 and q2 = decode_cq enc2 in
-      let verdicts on =
-        with_decomposition on (fun () ->
-            ( Containment.implies q1 q2,
-              Containment.implies q2 q1,
-              Containment.implies q1 q1 ))
-      in
-      verdicts false = verdicts true)
+      List.for_all
+        (fun (a, b) -> Containment.implies a b = Naive.implies a b)
+        [ (q1, q2); (q2, q1); (q1, q1) ])
+
+(* [q] with its variables renamed apart, the fresh names interned in
+   [Cq.vars q] order rotated by [shift]. [Cq.make] sorts a body by the
+   intern ids of its terms, so the rotation permutes the copy's atoms
+   relative to [q]'s. *)
+let cq_copies = ref 0
+
+let renamed_cq shift q =
+  let vars = Cq.vars q in
+  let k = shift mod List.length vars in
+  let rotated =
+    List.filteri (fun i _ -> i >= k) vars @ List.filteri (fun i _ -> i < k) vars
+  in
+  incr cq_copies;
+  let tag = !cq_copies in
+  let fresh =
+    List.map (fun v -> (v, Term.var (Fmt.str "%a'%d" Term.pp v tag))) rotated
+  in
+  let rename t =
+    match List.find_opt (fun (v, _) -> Term.equal v t) fresh with
+    | Some (_, v') -> v'
+    | None -> t
+  in
+  Cq.make
+    ~free:(List.map rename (Cq.free q))
+    (List.map (Atom.map_args rename) (Cq.atoms q))
+
+(* A disjoint union of directed E-cycles of the given lengths. Every
+   variable has in- and out-degree 1, so unions of equal total length
+   agree on size, variable count, WL colors and [iso_key]; they are
+   isomorphic iff their length multisets agree, and one maps into the
+   other whenever each of its cycle lengths is a multiple of one there. *)
+let cycles_cq lengths =
+  let var i = Term.var (Printf.sprintf "y%d" i) in
+  let _, atoms =
+    List.fold_left
+      (fun (base, acc) len ->
+        ( base + len,
+          acc
+          @ List.init len (fun i ->
+                Atom.make e [ var (base + i); var (base + ((i + 1) mod len)) ])
+        ))
+      (0, []) lengths
+  in
+  Cq.make ~free:[] atoms
+
+(* Cut [total] into cycle lengths of 1-6 read off [cuts]. *)
+let rec partition total cuts =
+  if total = 0 then []
+  else
+    match cuts with
+    | [] -> [ total ]
+    | c :: cs ->
+        let len = min total (1 + (c mod 6)) in
+        len :: partition (total - len) cs
+
+let prop_isomorphic_matches_naive =
+  (* Isomorphism is one injective search behind WL and hom-feasibility
+     prescreens; the naive reference enumerates homomorphisms and keeps
+     bijections of variables. Random pairs are mostly non-isomorphic, so
+     each case also checks a renamed copy with permuted atoms
+     (isomorphic by construction), and two cycle unions of equal total
+     length — pairs the prescreens cannot separate, where only the
+     injectivity of the search decides. *)
+  QCheck.Test.make ~count
+    ~name:"Containment.isomorphic = Naive.isomorphic"
+    QCheck.(
+      quad cq_arb cq_arb small_nat
+        (pair
+           (list_of_size Gen.(1 -- 3) (int_range 1 6))
+           (list_of_size Gen.(0 -- 4) small_nat)))
+    (fun (enc1, enc2, shift, (lengths, cuts)) ->
+      let q1 = decode_cq enc1 and q2 = decode_cq enc2 in
+      let copy = renamed_cq shift q1 in
+      let c1 = cycles_cq lengths in
+      let c2 = cycles_cq (partition (List.fold_left ( + ) 0 lengths) cuts) in
+      let agree a b = Containment.isomorphic a b = Naive.isomorphic a b in
+      Naive.isomorphic q1 copy && agree q1 copy && agree copy q1
+      && agree q1 q2 && agree q2 q1 && agree c1 c2 && agree c2 c1)
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 1: answering via rewriting = answering via the chase        *)
@@ -1060,7 +1126,8 @@ let () =
             prop_parallel_rewriting_equivalent;
             prop_kernel_rewriting_matches_naive_reference;
             prop_indexed_store_matches_reference;
-            prop_decomposed_implies_matches_monolithic;
+            prop_implies_matches_naive;
+            prop_isomorphic_matches_naive;
             prop_rewriting_answers_like_chase;
             prop_zoo_answering_agreement;
             prop_portfolio_agrees_with_chase;
